@@ -6,8 +6,8 @@
 // Flags:
 //   --quick              CI-sized run: eager backend only, small op counts
 //   --out=PATH           output file (default BENCH_wakeup.json)
-//   --scenario=NAME      all | wake_index | waiter_scale | bounded | parsec
-//                        (default all)
+//   --scenario=NAME      all | wake_index | commit_cost | waiter_scale |
+//                        bounded | parsec (default all)
 //   --ops=N --trials=N --scale=N --max_threads=N --commits=N --many_commits=N
 //   --scale_waiters=N    waiter_scale point size (default 1e5, --quick 1e4)
 #include <algorithm>
@@ -20,6 +20,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/bounded_grid.h"
+#include "bench/commit_cost.h"
 #include "bench/parsec_grid.h"
 #include "src/common/json_writer.h"
 #include "bench/waiter_scale.h"
@@ -356,6 +357,36 @@ void EmitMoDiet(JsonWriter& w, std::uint64_t ops) {
   w.EndArray();
 }
 
+// One writer's commit cost against 0/256/1k/4k parked bystanders; the
+// bench-smoke gate bounds the 4k median against the 0 median.
+void EmitCommitCostVsParked(JsonWriter& w, const std::vector<Backend>& backends,
+                            std::uint64_t commits, int trials) {
+  w.Key("commit_cost_vs_parked").BeginArray();
+  for (Backend b : backends) {
+    for (int parked : {0, 256, 1024, 4096}) {
+      CommitCostResult r = RunCommitCostVsParked(b, parked, commits, trials);
+      w.BeginObject();
+      w.Key("backend").String(BackendName(r.backend));
+      w.Key("parked").Int(r.parked);
+      w.Key("commits").U64(r.commits);
+      w.Key("trials").Int(static_cast<int>(r.trial_ns.size()));
+      w.Key("ns_per_commit_median").Double(r.median_ns);
+      w.Key("ns_per_commit_min").Double(r.min_ns);
+      w.Key("ns_per_commit_max").Double(r.max_ns);
+      w.Key("wake_checks_per_commit").Double(r.wake_checks_per_commit);
+      w.Key("spurious_wakeups").U64(r.spurious_wakeups);
+      w.Key("lost_wakeups").U64(r.lost_wakeups);
+      w.EndObject();
+      std::printf(
+          "commit_cost backend=%-9s parked=%-5d ns/commit median=%.0f "
+          "min=%.0f max=%.0f checks/commit=%.3f\n",
+          BackendName(r.backend), r.parked, r.median_ns, r.min_ns, r.max_ns,
+          r.wake_checks_per_commit);
+    }
+  }
+  w.EndArray();
+}
+
 void EmitWaiterScaleRow(JsonWriter& w, const WaiterScaleResult& r) {
   w.BeginObject();
   w.Key("backend").String(BackendName(r.backend));
@@ -547,6 +578,11 @@ int Run(int argc, char** argv) {
     EmitWakeBatchSweep(w, backends, many_waiter_counts, many_commits);
     EmitCasClaimAblation(w, backends, commits);
     EmitMoDiet(w, flags.GetU64("mo_diet_ops", quick ? 2000000 : 20000000));
+  }
+  if (scenario == "all" || scenario == "commit_cost") {
+    EmitCommitCostVsParked(
+        w, backends, flags.GetU64("cost_commits", quick ? 20000 : 100000),
+        static_cast<int>(flags.GetU64("cost_trials", quick ? 3 : 5)));
   }
   if (scenario == "all" || scenario == "waiter_scale") {
     // 10^5 parked waiters per full-run point; CI (--quick) runs the 10^4

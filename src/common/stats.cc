@@ -51,6 +51,7 @@ constexpr std::string_view kCounterNames[] = {
     "wake_tx_aborts",
     "condvar_batches",
     "condvar_ring_growths",
+    "wake_fingerprint_skips",
 };
 static_assert(std::size(kCounterNames) ==
                   static_cast<std::size_t>(Counter::kNumCounters),

@@ -68,6 +68,8 @@ enum class Counter : int {
                        // wake_batch_size tids)
   kCondVarRingGrowths,  // TMCondVar ring doublings forced by a full ring
                         // (the pre-fix code silently overwrote a parked tid)
+  kWakeFingerprintSkips,  // shard-aliased wake candidates dropped by the
+                          // waitset fingerprint before any claim or check
   kNumCounters,
 };
 

@@ -123,6 +123,10 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
     TCS_TRACE_EVENT(d, TraceEvent::kSleep, 0);
     std::uint64_t sleep_start_ns = cfg_.latency_metrics ? ObsNowNs() : 0;
     bool acquired = true;
+    // The registration transaction ended with SetInactive and nothing below
+    // runs a transaction until the park returns: writers' quiescence scans
+    // may skip this thread meanwhile ([quiesce-dekker] parked leg).
+    quiesce_.MarkParked(d.tid);
     if (timed) {
       // Deadline set by the DeadlineExpired check of the *For call that led
       // here. With the timer wheel, the sleep registers an epoch-stamped
@@ -147,6 +151,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
     } else {
       lot_.ConsumeToken(d.park);
     }
+    quiesce_.MarkRunning(d.tid);
     if (cfg_.latency_metrics) {
       std::uint64_t now = ObsNowNs();
       d.obs.wait_duration.Record(now - sleep_start_ns);
@@ -470,23 +475,28 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
   if (cfg_.targeted_wakeup && !write_orecs.empty()) {
     // Targeted pass: only the shards this write set covers, plus the global
     // fallback list. Work scales with relevant waiters, not registered ones.
-    // The shard-set bitmap is built once into per-thread scratch (reused
-    // commit to commit) via the index's two-phase collect/visit API. The
-    // registry's segment summary — snapshotted repair-stably — masks the
-    // index walk down to segments holding at least one registered waiter:
-    // sound because a waiter's summary bit, like its index entry, is set
-    // before its registration transaction can commit, so any waiter this
-    // commit is obliged to wake has both visible here (see wake_index.h).
+    // The shard-set bitmap and the written orecs' fingerprint bits are built
+    // once into per-thread scratch (reused commit to commit). The index walks
+    // only segments its per-shard summaries name for these shards, and drops
+    // shard-aliased waiters whose waitset fingerprint excludes every written
+    // orec — no claim, no wake check (see wake_index.h).
     d.wake_shard_scratch.resize(
         static_cast<std::size_t>(wake_index_->shard_words()));
     wake_index_->BuildShardSet(write_orecs.data(), write_orecs.size(),
                                d.wake_shard_scratch.data());
-    d.wake_seg_scratch.resize(
-        static_cast<std::size_t>(waiters_->summary_words()));
-    waiters_->SnapshotSummary(d.wake_seg_scratch.data());
-    wake_index_->ForEachCandidateInSegments(d.wake_shard_scratch.data(),
-                                            d.wake_seg_scratch.data(),
-                                            waiters_->summary_words(), collect);
+    d.wake_fp_scratch.clear();
+    if (write_orecs.size() <= WakeIndex::kMaxFingerprintOrecs) {
+      for (const Orec* o : write_orecs) {
+        d.wake_fp_scratch.push_back(WakeIndex::FingerprintOf(o));
+      }
+    }
+    const std::size_t filtered = wake_index_->ForEachCandidateIn(
+        d.wake_shard_scratch.data(), collect,
+        d.wake_fp_scratch.empty() ? nullptr : d.wake_fp_scratch.data(),
+        d.wake_fp_scratch.size());
+    if (filtered > 0) {
+      d.stats.Bump(Counter::kWakeFingerprintSkips, filtered);
+    }
   } else {
     // Global scan: targeting disabled, or the write-set snapshot was not taken
     // (no waiter was visible mid-commit; any waiter visible now either

@@ -7,24 +7,23 @@
 // against writer commits and closes the lost-wakeup window.
 //
 // Layout. Slots live in lazily allocated 256-thread segment control blocks
-// (geometry in segment.h) behind a directory of atomic pointers, published
-// with a release-CAS ([seg-publish]): capacity grows by appending segments,
-// and 10^5 registered threads cost ~400 segment blocks instead of one
-// max_threads-sized slab. Each segment owns a 4-word presence bitmap of its
-// own tids, and a top-level *summary* bitmap keeps one bit per possibly-
-// occupied segment.
+// behind a SegmentDirectory (segment.h), published with a release-CAS
+// ([seg-publish]): capacity grows by appending segments, and 10^5 registered
+// threads cost ~400 segment blocks instead of one max_threads-sized slab.
+// Each segment owns a 4-word presence bitmap of its own tids, and a top-level
+// *summary* bitmap keeps one bit per possibly-occupied segment.
 //
 // A writer that committed must not pay a scan when nobody waits, and at
 // capacity-tier thread counts it must not even pay a bitmap walk proportional
 // to max_threads. The summary gives both: HasWaiters reads
-// ceil(num_segments/64) words, and the wake path walks popcount(summary)
-// segments. A waiter sets its segment presence bit and then its summary bit
-// (both release) *before* its registration transaction begins and clears them
-// after deregistering; writer commits and the bitmap loads are ordered
-// through the global version clock's RMW chain ([clock-chain]'s release
-// sequence), so "registration serialized before my commit" implies "I see
-// the bit" — the full argument is the [wake-publish] glossary entry in
-// wake_index.h.
+// ceil(num_segments/64) words, and the wake path then walks only the
+// segments the wake index's per-shard summaries name. A waiter sets its
+// segment presence bit and then its summary bit (both release) *before* its
+// registration transaction begins and clears them after deregistering;
+// writer commits and the bitmap loads are ordered through the global version
+// clock's RMW chain ([clock-chain]'s release sequence), so "registration
+// serialized before my commit" implies "I see the bit" — the full argument is
+// the [wake-publish] glossary entry in wake_index.h.
 //
 // Clearing a summary bit is the one delicate step: the last waiter leaving a
 // segment races a new waiter entering it, and a writer that reads the summary
@@ -33,10 +32,10 @@
 // sleepers). The repair therefore runs under a seqlock: generation goes odd,
 // the bit is cleared (acq_rel), the segment mask is rescanned, the bit is
 // conditionally re-set, generation goes even. Readers that would answer "no
-// waiters" (or hand out a summary snapshot) validate the generation and
-// retry; readers that see any set bit may return immediately — a stale set
-// bit is merely conservative. See HasWaiters/SnapshotSummary for the
-// interleaving argument.
+// waiters" validate the generation and retry; readers that see any set bit
+// may return immediately — a stale set bit is merely conservative. See
+// HasWaiters for the interleaving argument. The wake index keeps per-shard
+// segment summaries under the same protocol (WakeIndex::RepairSummary).
 #ifndef TCS_CONDSYNC_WAITER_REGISTRY_H_
 #define TCS_CONDSYNC_WAITER_REGISTRY_H_
 
@@ -98,7 +97,6 @@ struct alignas(kCacheLineBytes) WaiterSlot {
 class WaiterRegistry {
  public:
   explicit WaiterRegistry(int max_threads);
-  ~WaiterRegistry();
 
   WaiterRegistry(const WaiterRegistry&) = delete;
   WaiterRegistry& operator=(const WaiterRegistry&) = delete;
@@ -109,9 +107,10 @@ class WaiterRegistry {
 
   // The slot for `tid`, allocating its segment on first touch. Writers may
   // call this for candidate tids whose registry segment they have not seen
-  // allocated — EnsureSegment races are resolved by the [seg-publish] CAS.
+  // allocated — publication races are resolved by the SegmentDirectory's
+  // [seg-publish] CAS.
   WaiterSlot& slot(int tid) {
-    return EnsureSegment(tid >> kCondSyncSegmentShift)
+    return SegmentFor(tid >> kCondSyncSegmentShift)
         .slots[tid & (kCondSyncSegmentSize - 1)];
   }
   int capacity() const { return capacity_; }
@@ -156,37 +155,9 @@ class WaiterRegistry {
     }
   }
 
-  // Copies a repair-stable summary snapshot into `out` (summary_words()
-  // words). The snapshot is a sound iteration mask for the wake path: every
-  // waiter whose registration serialized before the caller's commit has its
-  // segment's bit set in any stable snapshot taken after that commit
-  // ([wake-publish] + the seqlock retry), so skipping zero bits never skips
-  // a relevant waiter.
-  void SnapshotSummary(std::uint64_t* out) const {
-    for (;;) {
-      // mo: acquire — [wake-publish] rider: seqlock generation pre-read
-      // (see HasWaiters).
-      std::uint64_t g1 = repair_gen_.load(std::memory_order_acquire);
-      if ((g1 & 1) != 0) {
-        continue;  // Repair in flight; its transient clear may be visible.
-      }
-      for (int w = 0; w < summary_words_; ++w) {
-        // mo: acquire — [wake-publish]: same pairing as HasWaiters' scan.
-        out[w] = summary_[w].load(std::memory_order_acquire);
-      }
-      // mo: relaxed — [wake-publish] rider: seqlock validation re-read,
-      // ordered after the word loads by their acquire (see HasWaiters).
-      std::uint64_t g2 = repair_gen_.load(std::memory_order_relaxed);
-      if (g1 == g2) {
-        return;
-      }
-    }
-  }
-  int summary_words() const { return summary_words_; }
-
   void MarkRegistered(int tid) {
     const int si = tid >> kCondSyncSegmentShift;
-    Segment& seg = EnsureSegment(si);
+    Segment& seg = SegmentFor(si);
     const int rel = tid & (kCondSyncSegmentSize - 1);
     // mo: release — [wake-publish]: the bit set precedes the registration
     // transaction's [clock-chain] RMW in program order; a writer whose commit
@@ -205,7 +176,7 @@ class WaiterRegistry {
 
   void UnmarkRegistered(int tid) {
     const int si = tid >> kCondSyncSegmentShift;
-    Segment* seg = SegmentOf(si);
+    Segment* seg = dir_.Get(si);
     if (seg == nullptr) {
       return;  // Never marked: nothing to clear.
     }
@@ -236,7 +207,7 @@ class WaiterRegistry {
   // Introspection for tests and debugging: is this slot's presence bit set?
   // A timed wait that expires must leave its bit clear (no leaked entries).
   bool IsRegistered(int tid) const {
-    const Segment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const Segment* seg = dir_.Get(tid >> kCondSyncSegmentShift);
     if (seg == nullptr) {
       return false;
     }
@@ -252,17 +223,12 @@ class WaiterRegistry {
   // every allocated segment's mask, not the conservative summary.
   int RegisteredCount() const {
     int n = 0;
-    for (int si = 0; si < num_segments_; ++si) {
-      const Segment* seg = SegmentOf(si);
-      if (seg == nullptr) {
-        continue;
-      }
+    dir_.ForEach([&](int, const Segment& seg) {
       for (int w = 0; w < kCondSyncSegmentWords; ++w) {
         // mo: acquire — [wake-publish]: same pairing as IsRegistered above.
-        n += __builtin_popcountll(
-            seg->mask[w].load(std::memory_order_acquire));
+        n += __builtin_popcountll(seg.mask[w].load(std::memory_order_acquire));
       }
-    }
+    });
     return n;
   }
 
@@ -272,10 +238,9 @@ class WaiterRegistry {
   // depends on summary-repair timing.
   template <typename Fn>
   void ForEachRegistered(Fn&& fn) {
-    for (int si = 0; si < num_segments_; ++si) {
-      // mo: acquire — [seg-publish]: pairs with the allocator's release
-      // directory CAS; a non-null pointer implies a fully initialized block.
-      Segment* seg = segments_[si].load(std::memory_order_acquire);
+    const int bound = dir_.Bound();
+    for (int si = 0; si < bound; ++si) {
+      Segment* seg = dir_.Get(si);
       if (seg == nullptr) {
         continue;
       }
@@ -301,19 +266,14 @@ class WaiterRegistry {
   // scratch to the *populated* range instead of max_threads; a segment
   // allocated after this call can only hold waiters that registered after
   // the caller's commit, which the caller may size for lazily.
-  int TidBound() const {
-    // mo: acquire — [seg-publish] rider: the bound is advanced before the
-    // segment's publishing CAS, so any reader that can see a segment's tids
-    // (via an acquire directory load) also sees a bound covering them.
-    return tid_bound_.load(std::memory_order_acquire);
-  }
+  int TidBound() const { return dir_.Bound() * kCondSyncSegmentSize; }
 
   // Bytes currently committed to this registry: the directory plus every
   // allocated segment block. Feeds the memory-per-waiter metric.
   std::size_t FootprintBytes() const;
 
   // Number of segments with an allocated control block.
-  int AllocatedSegments() const;
+  int AllocatedSegments() const { return dir_.Allocated(); }
 
  private:
   // One 256-thread segment control block: the segment's presence bitmap and
@@ -325,20 +285,14 @@ class WaiterRegistry {
     WaiterSlot slots[kCondSyncSegmentSize];
   };
 
-  Segment& EnsureSegment(int si);
-  Segment* SegmentOf(int si) const {
-    // mo: acquire — [seg-publish]: pairs with the allocator's release
-    // directory CAS; a non-null pointer implies a fully initialized block.
-    return segments_[si].load(std::memory_order_acquire);
-  }
+  // Segment si, zero-initialized and published through dir_ on first touch;
+  // reports the publication to the protocol checker.
+  Segment& SegmentFor(int si);
   void RepairSummary(int si);
 
   int capacity_;
-  int num_segments_;
   int summary_words_;
-  // Directory of lazily allocated segments; entries are owned (deleted in the
-  // destructor) and published at most once via release-CAS.
-  std::unique_ptr<std::atomic<Segment*>[]> segments_;
+  SegmentDirectory<Segment> dir_;
   // One bit per possibly-occupied segment; cleared only under the seqlock
   // repair below.
   std::unique_ptr<std::atomic<std::uint64_t>[]> summary_;
@@ -347,7 +301,6 @@ class WaiterRegistry {
   // meaningful under concurrent drains of different segments.
   mutable std::atomic<std::uint64_t> repair_gen_{0};
   SpinLock repair_lock_;
-  std::atomic<int> tid_bound_{0};
   ProtocolChecker* checker_ = nullptr;
 };
 

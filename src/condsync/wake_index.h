@@ -19,11 +19,19 @@
 // owner-side bookkeeping; publication of a fresh segment is a release-CAS on
 // the directory entry (the [seg-publish] edge). Capacity grows by appending
 // segments — 10^6 waiters cost ~4k directory words up front, with bitmap
-// slabs materializing only for tid ranges that actually wait. Writer scans
-// iterate allocated segments; TmSystem::WakeWaiters narrows that further to
-// segments whose WaiterRegistry summary bit is set (ForEachCandidateInSegments)
-// so a full-capacity index costs a writer popcount(segment mask) segment
-// visits, not a 4096-shard flat walk.
+// slabs materializing only for tid ranges that actually wait.
+//
+// Writer cost. A writer must pay only for segments that can hold a waiter it
+// might satisfy, so the index keeps a per-shard *segment summary*: for each
+// shard (and for the global list) one bit per segment holding a waiter
+// registered there. A writer ORs the rows of the shards it wrote and visits
+// only those segments. Rows are set after the insert they summarize and
+// cleared only under a seqlock-guarded repair (clear, rescan, conditional
+// re-set), the protocol WaiterRegistry's segment summary already uses. Within
+// a visited segment, every waiter also publishes a 64-bit *fingerprint* of
+// its waitset (two bits per orec, FingerprintOf): a shard-aliased candidate
+// whose fingerprint lacks both bits of every written orec is dropped before
+// any claim or wake check, at the cost of one load and a few ANDs.
 //
 // Shard-set representation. A waiter's shard membership is a per-tid *bitmap*
 // of `shard_words()` 64-bit words (owner-thread-only bookkeeping), so the
@@ -68,12 +76,14 @@
 #define TCS_CONDSYNC_WAKE_INDEX_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
 
 #include "src/common/assert.h"
 #include "src/common/cache_line.h"
+#include "src/common/spin_lock.h"
 #include "src/condsync/segment.h"
 #include "src/tm/protocol_checker.h"
 
@@ -162,9 +172,12 @@ struct Orec;
 //                  committed state and the waiter never sleeps on a satisfied
 //                  predicate. Either way no wakeup is lost — seq_cst added
 //                  nothing but a total order the argument never used.
-//                  One backend path commits with NO clock RMW: sim-HTM
-//                  serial-mode commits (SimHtm::CommitTx, d.htm_serial).
-//                  There the post-commit scan is instead ordered by the
+//                  One backend path commits its writes with no clock RMW:
+//                  sim-HTM serial-mode commits (SimHtm::CommitTx,
+//                  d.htm_serial; the tick a serial writer takes for its
+//                  quiescence fence comes after its writes and is not
+//                  relied on here). There the post-commit scan is instead
+//                  ordered by the
 //                  seq_cst [serial-token] handshake: the serial entrant's
 //                  drain loop reads the registration commit's seq_cst
 //                  committing_ = 0 store, or — when the registrant starts
@@ -174,12 +187,19 @@ struct Orec;
 //                  Either leg orders waiter inserts and the writer's scan
 //                  without the clock chain, so the release/acquire bitmap
 //                  endpoints stay sufficient on this path too.
-//                  The registry's summary mask adds one wrinkle: clearing a
-//                  summary bit when a segment drains races a concurrent
-//                  re-registration, so the clear runs under a seqlock-guarded
-//                  repair (clear, rescan the segment mask, conditionally
-//                  re-set) and readers retry odd/changed generations — see
+//                  The registry's summary mask and the index's per-shard
+//                  segment summaries add one wrinkle: clearing a summary bit
+//                  when a segment drains races a concurrent re-registration,
+//                  so the clear runs under a seqlock-guarded repair (clear,
+//                  rescan the segment's words, conditionally re-set) and
+//                  readers retry odd/changed generations — see
 //                  WaiterRegistry::HasWaiters for the interleaving argument.
+//                  The waitset fingerprint rides the same edge: the waiter
+//                  stores it (release) before its shard inserts, so a writer
+//                  obliged to see a registration's shard bit also sees its
+//                  fingerprint, or a later registration's — never an older
+//                  one. A later registration's fingerprint is the right one
+//                  to test: the earlier registration has already ended.
 //
 //  [serial-token]  (minimal: seq_cst)
 //                  sim-HTM's Dekker pair: each committer's per-thread
@@ -219,13 +239,23 @@ struct Orec;
 //                  (and falls back or aborts), or the committer's scan sees
 //                  the published slot (and waits for the reader) — the
 //                  store-buffering exclusion that gates memory reclamation.
+//                  Parked leg: the scan skips slots whose parked bit is set,
+//                  so a thread leaving a park clears its bit with a seq_cst
+//                  RMW before its next SetActive, and the committer reads the
+//                  bitmap with a seq_cst load after its Increment. Either the
+//                  load sees the clear (and the slot is scanned as above), or
+//                  it precedes the clear in S and the thread's next clock and
+//                  orec samples see the commit. Setting the bit is a release
+//                  RMW after SetInactive (QuiesceTable::MarkParked).
 //
 //  [seg-publish]   (minimal: release/acquire)
 //                  Lazy publication of 256-tid segment control blocks
-//                  (WaiterRegistry, WakeIndex, QuiesceTable): the allocating
-//                  thread zero-initializes the block, then installs its
-//                  pointer with a release (acq_rel) directory CAS; every
-//                  reader loads directory entries with acquire. The pairing
+//                  (WaiterRegistry, WakeIndex, QuiesceTable — one shared
+//                  SegmentDirectory): the allocating thread zero-initializes
+//                  the block, advances the directory's high-water mark, then
+//                  installs its pointer with a release (acq_rel) directory
+//                  CAS; every reader loads the mark and directory entries
+//                  with acquire, and walks stop at the mark. The pairing
 //                  guarantees a reader that sees the pointer sees a fully
 //                  initialized block. A null entry is itself information —
 //                  "no tid of this range ever registered" — so scans skip
@@ -264,9 +294,13 @@ class WakeIndex {
   // what keeps ForEachCandidate allocation-free at any configured count.
   static constexpr int kMaxShards = 4096;
 
+  // Writes covering more orecs than this skip the fingerprint filter, which
+  // bounds its per-candidate test (one AND per written orec); such writes
+  // fill most of a 64-bit fingerprint anyway.
+  static constexpr std::size_t kMaxFingerprintOrecs = 64;
+
   // `num_shards` must be a power of two in [1, kMaxShards].
   WakeIndex(int max_threads, int num_shards);
-  ~WakeIndex();
 
   WakeIndex(const WakeIndex&) = delete;
   WakeIndex& operator=(const WakeIndex&) = delete;
@@ -293,6 +327,29 @@ class WakeIndex {
                             (64 - shards_log2_));
   }
 
+  // The two bits an orec contributes to a 64-bit waitset fingerprint, from a
+  // hash independent of ShardOf, so waiters that alias a writer's shard
+  // rarely also match its fingerprint bits.
+  static std::uint64_t FingerprintOf(const Orec* o) {
+    auto a = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(o));
+    const std::uint64_t h = (a >> 3) * 0xD6E8FEB86659FD93ULL;
+    return (std::uint64_t{1} << (h >> 58)) |
+           (std::uint64_t{1} << ((h >> 52) & 63));
+  }
+
+  // True if a waitset with fingerprint `fp` may contain one of the written
+  // orecs whose FingerprintOf values are `write_fps[0..n)`. Never a false
+  // negative: a shared orec sets both of its bits in both fingerprints.
+  static bool MayOverlap(std::uint64_t fp, const std::uint64_t* write_fps,
+                         std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((fp & write_fps[i]) == write_fps[i]) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   // Waiter side. All three calls for a given tid are made by the owning thread
   // only, before its registration transaction (Add*) or after deregistering
   // (Remove); tid reuse across threads is ordered by descriptor recycling.
@@ -306,16 +363,24 @@ class WakeIndex {
       AddGlobal(tid);
       return;
     }
-    IndexSegment& seg = EnsureSegment(tid >> kCondSyncSegmentShift);
+    const int si = tid >> kCondSyncSegmentShift;
+    IndexSegment& seg = SegmentFor(si);
     const int rel = tid & (kCondSyncSegmentSize - 1);
     std::uint64_t* set = PerTidShards(seg, rel);
     for (int sw = 0; sw < shard_words_; ++sw) {
       set[sw] = 0;
     }
+    std::uint64_t fp = 0;
     for (std::size_t i = 0; i < n; ++i) {
       int s = ShardOf(orecs[i]);
       set[s >> 6] |= std::uint64_t{1} << (s & 63);
+      fp |= FingerprintOf(orecs[i]);
     }
+    // mo: release — [wake-publish]: the fingerprint is stored before the
+    // shard inserts below (and so before the registration commit), so a
+    // writer that must see this registration's shard bit sees this
+    // fingerprint or a later registration's, never an earlier one.
+    seg.fingerprint[rel].store(fp, std::memory_order_release);
     const std::uint64_t bit = std::uint64_t{1} << (rel % 64);
     const int w = rel / 64;
     for (int sw = 0; sw < shard_words_; ++sw) {
@@ -329,6 +394,7 @@ class WakeIndex {
         // argument in the glossary). The release also pairs directly with
         // the scan's acquire when the scan reads-from this very insert.
         ShardWord(seg, s, w).fetch_or(bit, std::memory_order_release);
+        MarkSummary(s, si);
       }
     }
     TCS_PROTO(if (checker_ != nullptr) checker_->OnWakeRegister(tid, true));
@@ -337,13 +403,19 @@ class WakeIndex {
   // Registers tid on the global fallback list (predicate with no address list:
   // every committing writer must consider it).
   void AddGlobal(int tid) {
-    IndexSegment& seg = EnsureSegment(tid >> kCondSyncSegmentShift);
+    const int si = tid >> kCondSyncSegmentShift;
+    IndexSegment& seg = SegmentFor(si);
     const int rel = tid & (kCondSyncSegmentSize - 1);
     seg.per_tid_global[rel] = 1;
+    // mo: release — [wake-publish]: an all-ones fingerprint passes every
+    // filter, so a writer whose shard pass still emits this tid from an
+    // earlier indexed registration never filters this one out.
+    seg.fingerprint[rel].store(~std::uint64_t{0}, std::memory_order_release);
     // mo: release — [wake-publish]: same release-sequence argument as the
     // shard insert in AddIndexed; the global list is scanned by every writer.
     seg.global[rel / 64].fetch_or(std::uint64_t{1} << (rel % 64),
                                   std::memory_order_release);
+    MarkSummary(num_shards_, si);
     TCS_PROTO(if (checker_ != nullptr) checker_->OnWakeRegister(tid, false));
   }
 
@@ -353,7 +425,8 @@ class WakeIndex {
   // path alike — a timed wait that expires leaves nothing behind.
   void Remove(int tid) {
     TCS_PROTO(if (checker_ != nullptr) checker_->OnWakeDeregister(tid));
-    IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const int si = tid >> kCondSyncSegmentShift;
+    IndexSegment* seg = dir_.Get(si);
     if (seg == nullptr) {
       return;  // Never registered: nothing to clear.
     }
@@ -371,14 +444,20 @@ class WakeIndex {
         // keeps insert/clear RMWs on one bitmap word totally ordered, and a
         // scan that reads the pre-clear value only produces a spurious
         // candidate, which the transactional wake check rejects (asleep==0).
-        ShardWord(*seg, s, w).fetch_and(clear, std::memory_order_relaxed);
+        if ((ShardWord(*seg, s, w).fetch_and(clear, std::memory_order_relaxed) &
+             clear) == 0) {
+          RepairSummary(s, si);
+        }
       }
     }
     if (seg->per_tid_global[rel] != 0) {
       seg->per_tid_global[rel] = 0;
       // mo: relaxed — [wake-publish] rider: same spurious-candidate argument
       // as the shard clear above.
-      seg->global[w].fetch_and(clear, std::memory_order_relaxed);
+      if ((seg->global[w].fetch_and(clear, std::memory_order_relaxed) &
+           clear) == 0) {
+        RepairSummary(num_shards_, si);
+      }
     }
   }
 
@@ -406,109 +485,115 @@ class WakeIndex {
   // visited first: their waitsets name addresses the write set's orecs
   // actually cover, so under wake_single (which stops at the first wakeup)
   // the writer prefers a waiter it probably satisfied over an
-  // arbitrary-predicate waiter it merely might have. Zero allocation; cost is
-  // O(allocated segments × (1 + distinct shards touched)). Callers with a
-  // registry summary in hand should prefer ForEachCandidateInSegments, which
-  // walks only the populated segments.
+  // arbitrary-predicate waiter it merely might have. Zero allocation.
+  //
+  // Only segments whose per-shard summary bit is set for a covered shard (or
+  // for the global list, in the second pass) are visited, so the cost is
+  // O(segments holding a relevant waiter × distinct shards), not
+  // O(allocated segments). With `write_fps` (FingerprintOf of each written
+  // orec, n_fps ≤ kMaxFingerprintOrecs), shard-indexed candidates whose
+  // published fingerprint cannot contain a written orec are dropped before
+  // fn sees them. Returns the number of candidates so dropped.
   template <typename Fn>
-  void ForEachCandidateIn(const std::uint64_t* shard_set, Fn&& fn) {
-    ForEachCandidateInSegments(shard_set, nullptr, 0, std::forward<Fn>(fn));
-  }
-
-  // Masked variant: visits only segments whose bit is set in `seg_summary`
-  // (seg_summary_words words; a WaiterRegistry::SnapshotSummary copy). Sound
-  // because a waiter's index insert and its registry MarkRegistered both
-  // precede its registration commit: any waiter a writer's commit serialized
-  // after has its summary bit set in a stable snapshot, so an unset bit — or
-  // a null index segment — proves no relevant waiter, never hides one.
-  // Passing seg_summary == nullptr visits every allocated segment.
-  template <typename Fn>
-  void ForEachCandidateInSegments(const std::uint64_t* shard_set,
-                                  const std::uint64_t* seg_summary,
-                                  int seg_summary_words, Fn&& fn) {
+  std::size_t ForEachCandidateIn(const std::uint64_t* shard_set, Fn&& fn,
+                                 const std::uint64_t* write_fps = nullptr,
+                                 std::size_t n_fps = 0) {
+    std::size_t filtered = 0;
+    const int summary_words = (dir_.Bound() + 63) / 64;
     // Pass 1: shard-indexed candidates, ascending tid.
-    for (int si = 0; si < num_segments_; ++si) {
-      if (seg_summary != nullptr && !SummaryHas(seg_summary, seg_summary_words,
-                                                si)) {
-        continue;
-      }
-      // mo: acquire — [seg-publish]: pairs with the allocator's release
-      // directory CAS; a non-null pointer implies a fully initialized block.
-      IndexSegment* seg = segments_[si].load(std::memory_order_acquire);
-      if (seg == nullptr) {
-        continue;
-      }
-      for (int w = 0; w < kCondSyncSegmentWords; ++w) {
-        std::uint64_t cand = 0;
-        for (int sw = 0; sw < shard_words_; ++sw) {
-          std::uint64_t ss = shard_set[sw];
-          while (ss != 0) {
-            int s = sw * 64 + __builtin_ctzll(ss);
-            ss &= ss - 1;
-            // mo: acquire — [wake-publish]: the writer-side scan, ordered
-            // after its commit's [clock-chain] RMW; pairs with the waiter's
-            // release insert in AddIndexed.
-            cand |= ShardWord(*seg, s, w).load(std::memory_order_acquire);
-          }
+    for (int cw = 0; cw < summary_words; ++cw) {
+      std::uint64_t segs = StableSummaryWord(shard_set, false, cw);
+      while (segs != 0) {
+        const int si = cw * 64 + __builtin_ctzll(segs);
+        segs &= segs - 1;
+        IndexSegment* seg = dir_.Get(si);
+        if (seg == nullptr) {
+          continue;
         }
-        while (cand != 0) {
-          int bit = __builtin_ctzll(cand);
-          cand &= cand - 1;
-          if (!fn(si * kCondSyncSegmentSize + w * 64 + bit)) {
-            return;
+        for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+          std::uint64_t cand = 0;
+          for (int sw = 0; sw < shard_words_; ++sw) {
+            std::uint64_t ss = shard_set[sw];
+            while (ss != 0) {
+              int s = sw * 64 + __builtin_ctzll(ss);
+              ss &= ss - 1;
+              // mo: acquire — [wake-publish]: the writer-side scan, ordered
+              // after its commit's [clock-chain] RMW; pairs with the waiter's
+              // release insert in AddIndexed.
+              cand |= ShardWord(*seg, s, w).load(std::memory_order_acquire);
+            }
+          }
+          while (cand != 0) {
+            int bit = __builtin_ctzll(cand);
+            cand &= cand - 1;
+            const int rel = w * 64 + bit;
+            if (write_fps != nullptr) {
+              // mo: acquire — [wake-publish]: pairs with AddIndexed's release
+              // fingerprint store, which precedes the insert this scan saw.
+              const std::uint64_t fp =
+                  seg->fingerprint[rel].load(std::memory_order_acquire);
+              if (!MayOverlap(fp, write_fps, n_fps)) {
+                ++filtered;
+                continue;
+              }
+            }
+            if (!fn(si * kCondSyncSegmentSize + rel)) {
+              return filtered;
+            }
           }
         }
       }
     }
     // Pass 2: global-fallback candidates, ascending tid.
-    for (int si = 0; si < num_segments_; ++si) {
-      if (seg_summary != nullptr && !SummaryHas(seg_summary, seg_summary_words,
-                                                si)) {
-        continue;
-      }
-      // mo: acquire — [seg-publish]: pairs with the allocator's release
-      // directory CAS (see pass 1).
-      IndexSegment* seg = segments_[si].load(std::memory_order_acquire);
-      if (seg == nullptr) {
-        continue;
-      }
-      for (int w = 0; w < kCondSyncSegmentWords; ++w) {
-        // mo: acquire — [wake-publish]: pairs with the waiter's release
-        // insert in AddGlobal, same clock-chain argument as the shard scan.
-        std::uint64_t cand = seg->global[w].load(std::memory_order_acquire);
-        // A tid registers either indexed or global, never both, so masking
-        // out the shard union usually suppresses a racing re-registration
-        // between the passes. It is best-effort, NOT a dedup guarantee: a tid
-        // emitted by the shard pass that deregistered and re-registered
-        // globally before this mask is sampled has already cleared its shard
-        // bits, so the mask misses it and the global pass emits it a second
-        // time. Callers that need distinct tids must dedup themselves
-        // (WakeWaiters keeps a seen bitmap); claiming stays correct
-        // regardless because a second claim attempt observes asleep == 0 and
-        // skips.
-        for (int sw = 0; sw < shard_words_; ++sw) {
-          std::uint64_t ss = shard_set[sw];
-          while (ss != 0) {
-            int s = sw * 64 + __builtin_ctzll(ss);
-            ss &= ss - 1;
-            // mo: relaxed — [wake-publish] rider: best-effort de-dup mask of
-            // the global pass (see the comment above); a stale word only lets
-            // a duplicate candidate through, which callers dedup anyway.
-            cand &= ~ShardWord(*seg, s, w).load(std::memory_order_relaxed);
-          }
+    for (int cw = 0; cw < summary_words; ++cw) {
+      std::uint64_t segs = StableSummaryWord(shard_set, true, cw);
+      while (segs != 0) {
+        const int si = cw * 64 + __builtin_ctzll(segs);
+        segs &= segs - 1;
+        IndexSegment* seg = dir_.Get(si);
+        if (seg == nullptr) {
+          continue;
         }
-        while (cand != 0) {
-          int bit = __builtin_ctzll(cand);
-          cand &= cand - 1;
-          if (!fn(si * kCondSyncSegmentSize + w * 64 + bit)) {
-            return;
+        for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+          // mo: acquire — [wake-publish]: pairs with the waiter's release
+          // insert in AddGlobal, same clock-chain argument as the shard scan.
+          std::uint64_t cand = seg->global[w].load(std::memory_order_acquire);
+          // A tid registers either indexed or global, never both, so masking
+          // out the shard union usually suppresses a racing re-registration
+          // between the passes. It is best-effort, NOT a dedup guarantee: a
+          // tid emitted by the shard pass that deregistered and re-registered
+          // globally before this mask is sampled has already cleared its
+          // shard bits, so the mask misses it and the global pass emits it a
+          // second time. Callers that need distinct tids must dedup
+          // themselves (WakeWaiters keeps a seen bitmap); claiming stays
+          // correct regardless because a second claim attempt observes
+          // asleep == 0 and skips.
+          for (int sw = 0; sw < shard_words_; ++sw) {
+            std::uint64_t ss = shard_set[sw];
+            while (ss != 0) {
+              int s = sw * 64 + __builtin_ctzll(ss);
+              ss &= ss - 1;
+              // mo: relaxed — [wake-publish] rider: best-effort de-dup mask of
+              // the global pass (see the comment above); a stale word only
+              // lets a duplicate candidate through, which callers dedup.
+              cand &= ~ShardWord(*seg, s, w).load(std::memory_order_relaxed);
+            }
+          }
+          while (cand != 0) {
+            int bit = __builtin_ctzll(cand);
+            cand &= cand - 1;
+            if (!fn(si * kCondSyncSegmentSize + w * 64 + bit)) {
+              return filtered;
+            }
           }
         }
       }
     }
+    return filtered;
   }
 
-  // One-shot convenience: build the shard set into stack scratch and visit it.
+  // One-shot convenience: build the shard set into stack scratch and visit it
+  // (no fingerprint filter).
   template <typename Fn>
   void ForEachCandidate(const Orec* const* orecs, std::size_t n, Fn&& fn) {
     std::uint64_t shard_set[kMaxShardWords];
@@ -520,7 +605,7 @@ class WakeIndex {
 
   // True if tid holds any entry, indexed or global.
   bool HasEntries(int tid) const {
-    const IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const IndexSegment* seg = dir_.Get(tid >> kCondSyncSegmentShift);
     if (seg == nullptr) {
       return false;
     }
@@ -538,14 +623,14 @@ class WakeIndex {
   }
 
   bool IsGlobal(int tid) const {
-    const IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const IndexSegment* seg = dir_.Get(tid >> kCondSyncSegmentShift);
     return seg != nullptr &&
            seg->per_tid_global[tid & (kCondSyncSegmentSize - 1)] != 0;
   }
 
   // Number of distinct shards tid registered under.
   int ShardSetPopulation(int tid) const {
-    const IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const IndexSegment* seg = dir_.Get(tid >> kCondSyncSegmentShift);
     if (seg == nullptr) {
       return 0;
     }
@@ -560,7 +645,7 @@ class WakeIndex {
 
   // True iff tid registered under shard s.
   bool InShardSet(int tid, int s) const {
-    const IndexSegment* seg = SegmentOf(tid >> kCondSyncSegmentShift);
+    const IndexSegment* seg = dir_.Get(tid >> kCondSyncSegmentShift);
     if (seg == nullptr) {
       return false;
     }
@@ -579,42 +664,41 @@ class WakeIndex {
   int ShardPopulation(int s) const;
   int GlobalPopulation() const;
 
-  // True iff no shard and no global word holds any bit (leak detector). Same
-  // precondition as the population accessors: only meaningful once every
-  // waiter thread's final Remove has been ordered before this call (thread
-  // join); a mid-run call may race registrations and flicker.
+  // True iff no shard word, global word, or per-shard summary bit is set
+  // (leak detector). Same precondition as the population accessors: only
+  // meaningful once every waiter thread's final Remove has been ordered
+  // before this call (thread join); a mid-run call may race registrations
+  // and flicker.
   bool Empty() const;
 
-  // Bytes currently committed to this index: the directory plus every
-  // allocated segment's slabs. Feeds the memory-per-waiter metric.
+  // Bytes currently committed to this index: the directory, the per-shard
+  // summaries, and every allocated segment's slabs. Feeds the
+  // memory-per-waiter metric.
   std::size_t FootprintBytes() const;
 
   // Number of segments with an allocated control block.
-  int AllocatedSegments() const;
+  int AllocatedSegments() const { return dir_.Allocated(); }
 
  private:
   static constexpr int kMaxShardWords = kMaxShards / 64;
 
   // One 256-tid segment control block: a shard-major bitmap slab (shard s,
   // word w at bits[s * kCondSyncSegmentWords + w]), the segment's global-
-  // fallback words, and owner-thread bookkeeping. Adjacent shards share cache
-  // lines within a segment — benign, because cross-thread traffic on one
-  // segment is already bounded to its 256 tids and the flat layout keeps the
-  // slab ~8x smaller than per-shard line padding would.
+  // fallback words, each tid's published waitset fingerprint, and
+  // owner-thread bookkeeping. Adjacent shards share cache lines within a
+  // segment — benign, because cross-thread traffic on one segment is already
+  // bounded to its 256 tids and the flat layout keeps the slab ~8x smaller
+  // than per-shard line padding would.
   struct alignas(kCacheLineBytes) IndexSegment {
     std::unique_ptr<std::atomic<std::uint64_t>[]> bits;
     std::atomic<std::uint64_t> global[kCondSyncSegmentWords];
+    std::atomic<std::uint64_t> fingerprint[kCondSyncSegmentSize];
     // Owner-thread-only bookkeeping of what each tid registered (one
     // shard_words_-word bitmap per tid), so Remove can clear exactly those
     // entries without scanning all shards.
     std::unique_ptr<std::uint64_t[]> per_tid_shards;
     std::uint8_t per_tid_global[kCondSyncSegmentSize];
   };
-
-  static bool SummaryHas(const std::uint64_t* summary, int words, int si) {
-    int w = si >> 6;
-    return w < words && (summary[w] & (std::uint64_t{1} << (si & 63))) != 0;
-  }
 
   std::atomic<std::uint64_t>& ShardWord(IndexSegment& seg, int shard,
                                         int word) const {
@@ -628,24 +712,44 @@ class WakeIndex {
     return &seg.per_tid_shards[static_cast<std::size_t>(rel) * shard_words_];
   }
 
-  // Returns the segment's control block, allocating and publishing it on
-  // first touch (waiter side). SegmentOf is the read-only variant: null means
-  // no tid of that range ever registered.
-  IndexSegment& EnsureSegment(int si);
-  IndexSegment* SegmentOf(int si) const {
-    // mo: acquire — [seg-publish]: pairs with the allocator's release
-    // directory CAS; a non-null pointer implies a fully initialized block.
-    return segments_[si].load(std::memory_order_acquire);
+  // Per-shard segment summary: row r (a shard, or num_shards_ for the global
+  // list) has one bit per segment that may hold a waiter registered there.
+  std::atomic<std::uint64_t>& SummaryWord(int row, int cw) const {
+    return summary_[static_cast<std::size_t>(row) * summary_words_ + cw];
   }
+  void MarkSummary(int row, int si) {
+    // mo: release — [wake-publish]: the summary bit follows the shard (or
+    // global) insert and precedes the registration commit the same way; a
+    // racing repair that clears it synchronizes with this RMW and re-sets
+    // it after rescanning the words set above.
+    SummaryWord(row, si / 64).fetch_or(std::uint64_t{1} << (si % 64),
+                                       std::memory_order_release);
+  }
+  // Clears row's bit for segment si if the segment no longer holds a waiter
+  // there — under the same seqlock protocol as WaiterRegistry::RepairSummary.
+  void RepairSummary(int row, int si);
+  // Word cw of the union of the summary rows a writer visits — the rows of
+  // shard_set's shards, or the global row — read repair-stably: a word read
+  // while a repair's transient clear could be visible is retried.
+  std::uint64_t StableSummaryWord(const std::uint64_t* shard_set, bool global,
+                                  int cw) const;
+
+  // Segment si, zero-initialized and published through dir_ on first touch
+  // (waiter side); reports the publication to the protocol checker.
+  IndexSegment& SegmentFor(int si);
 
   int capacity_;
-  int num_segments_;
   int num_shards_;
   int shards_log2_;
   int shard_words_;
-  // Directory of lazily allocated segments; entries are owned (deleted in the
-  // destructor) and published at most once via release-CAS.
-  std::unique_ptr<std::atomic<IndexSegment*>[]> segments_;
+  int summary_words_;
+  SegmentDirectory<IndexSegment> dir_;
+  // (num_shards_ + 1) rows of summary_words_ words; see SummaryWord.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> summary_;
+  // Seqlock generation for summary repairs: odd while a repair's transient
+  // clear may be visible. repair_lock_ serializes repairs.
+  std::atomic<std::uint64_t> repair_gen_{0};
+  SpinLock repair_lock_;
   ProtocolChecker* checker_ = nullptr;
 };
 

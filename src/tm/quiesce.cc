@@ -5,78 +5,45 @@
 
 namespace tcs {
 
-QuiesceTable::QuiesceTable(int max_threads) : max_threads_(max_threads) {
+QuiesceTable::QuiesceTable(int max_threads)
+    : dir_(max_threads), max_threads_(max_threads) {
   TCS_CHECK(max_threads > 0);
-  num_segments_ =
-      (max_threads + kCondSyncSegmentSize - 1) >> kCondSyncSegmentShift;
-  segments_ = std::make_unique<std::atomic<Segment*>[]>(
-      static_cast<std::size_t>(num_segments_));
-  for (int i = 0; i < num_segments_; ++i) {
-    // mo: relaxed — single-threaded construction; the table is published to
-    // worker threads by the owning runtime's thread-start edge.
-    segments_[i].store(nullptr, std::memory_order_relaxed);
-  }
-}
-
-QuiesceTable::~QuiesceTable() {
-  for (int i = 0; i < num_segments_; ++i) {
-    // mo: relaxed — destruction is single-threaded; every reader and
-    // committer is quiescent.
-    delete segments_[i].load(std::memory_order_relaxed);
-  }
-}
-
-QuiesceTable::Segment& QuiesceTable::EnsureSegment(int si) {
-  // mo: acquire — [seg-publish]: pairs with the release directory CAS below;
-  // a non-null pointer implies a fully initialized (all-kInactive) block.
-  Segment* seg = segments_[si].load(std::memory_order_acquire);
-  if (seg != nullptr) {
-    return *seg;
-  }
-  auto fresh = std::make_unique<Segment>();  // Slots default to kInactive.
-  Segment* expected = nullptr;
-  // mo: acq_rel — [seg-publish]: success releases the initialized block to
-  // every acquire directory load (and is sequenced before the owner's first
-  // seq_cst SetActive, which is what lets the commit-path scan skip null
-  // entries — see the header); failure acquires the winning racer's
-  // publication so the adopted block is fully visible.
-  if (segments_[si].compare_exchange_strong(expected, fresh.get(),
-                                            std::memory_order_acq_rel)) {
-    return *fresh.release();
-  }
-  // Lost the publication race: drop our block, adopt the winner's.
-  return *expected;
 }
 
 void QuiesceTable::WaitForReadersBefore(std::uint64_t time, int self) const {
-  for (int si = 0; si < num_segments_; ++si) {
-    // mo: acquire — [seg-publish]: pairs with the allocator's release CAS. A
-    // null entry is skipped soundly: segment publication is sequenced before
-    // the owning threads' seq_cst SetActive stores, so a straggler this scan
-    // is obliged to wait for ([quiesce-dekker]) has its segment visible here.
-    Segment* seg = segments_[si].load(std::memory_order_acquire);
-    if (seg == nullptr) {
-      continue;
-    }
+  dir_.ForEach([&](int si, const Segment& seg) {
     const int base = si * kCondSyncSegmentSize;
-    for (int r = 0; r < kCondSyncSegmentSize; ++r) {
-      if (base + r == self) {
-        continue;
-      }
-      int spins = 0;
-      // mo: acquire — pairs with SetInactive's release store (and SetActive's
-      // seq_cst store): once a straggler advances past `time`, its prior
-      // transactional reads happen-before this committer's return.
-      while (seg->slots[r].start.load(std::memory_order_acquire) < time) {
-        if (++spins < 64) {
-          CpuRelax();
-        } else {
-          CpuYield();
-          spins = 0;
+    for (int w = 0; w < kCondSyncSegmentWords; ++w) {
+      // mo: seq_cst — [quiesce-dekker] parked leg, committer side: the load
+      // follows the commit's seq_cst clock Increment.
+      // seq_cst-required: store-buffering exclusion against MarkRunning's
+      // clear — either this load sees the clear and the slot is scanned, or
+      // it precedes the clear in S and the returning thread's clock sample
+      // sees this commit; an acquire load could read a stale set bit while
+      // that thread's sample also misses the commit.
+      std::uint64_t running = ~seg.parked[w].load(std::memory_order_seq_cst);
+      while (running != 0) {
+        const int r = w * 64 + __builtin_ctzll(running);
+        running &= running - 1;
+        if (base + r == self) {
+          continue;
+        }
+        int spins = 0;
+        // mo: acquire — pairs with SetInactive's release store (and
+        // SetActive's seq_cst store): once a straggler advances past `time`,
+        // its prior transactional reads happen-before this committer's
+        // return.
+        while (seg.slots[r].start.load(std::memory_order_acquire) < time) {
+          if (++spins < 64) {
+            CpuRelax();
+          } else {
+            CpuYield();
+            spins = 0;
+          }
         }
       }
     }
-  }
+  });
 }
 
 }  // namespace tcs

@@ -248,7 +248,22 @@ bool SimHtm::CommitTx(TxDesc& d) {
     d.undo.Clear();
     d.reads.clear();
     quiesce_.SetInactive(d.tid);
+    // A hardware reader that passed its last serial-interference check
+    // before this section began may still be about to load memory the
+    // caller privatizes once we return; serial writes bump no line version,
+    // so only quiescence excludes it. The tick makes `end` exceed the start
+    // of every such reader, while transactions beginning after the section
+    // start at or past it and are not waited for.
+    std::uint64_t end = 0;
+    if (writer && cfg_.privatization_safety) {
+      end = clock_.Increment();
+      TCS_PROTO(proto_->OnClockObserved(d.tid, end));
+    }
     ExitSerial(d);
+    if (end != 0) {
+      d.stats.Bump(Counter::kQuiesceCalls);
+      quiesce_.WaitForReadersBefore(end, d.tid);
+    }
     return writer;
   }
   if (d.redo.Empty()) {

@@ -232,7 +232,10 @@ void TmSystem::Commit() {
   d.stats.Bump(writer ? Counter::kCommits : Counter::kReadOnlyCommits);
   d.mem.OnCommit();
   bool internal = d.internal;
-  std::vector<const Orec*> commit_orecs;
+  // The write-set snapshot stays in the descriptor, which keeps its capacity
+  // commit to commit; internal transactions never touch it, so the wake
+  // passes below may run them while reading it. Cleared once they are done.
+  std::vector<const Orec*>& commit_orecs = d.commit_orecs;
   std::vector<DeferredCvSignal> signals;
   if (!internal) {
     TCS_TRACE_EVENT(d, TraceEvent::kTxCommit, 0);
@@ -245,7 +248,6 @@ void TmSystem::Commit() {
         d.obs.abort_to_commit.Record(now - d.obs.first_abort_ns);
       }
     }
-    commit_orecs.swap(d.commit_orecs);
     signals.swap(d.deferred_signals);
     ResetDescAfterTx(d);
   } else {
@@ -292,6 +294,7 @@ void TmSystem::Commit() {
         WakeWaiters(commit_orecs);
       }
     }
+    commit_orecs.clear();
   }
 }
 
@@ -314,7 +317,6 @@ void TmSystem::ResetDescAfterTx(TxDesc& d) {
   d.htm_abort_code = 0;
   d.woke_from_sleep = false;
   d.skip_backoff = false;
-  d.commit_orecs.clear();
   d.deferred_signals.clear();
   d.backoff.Reset();
   d.obs.tx_begin_ns = 0;
@@ -423,6 +425,7 @@ void TmSystem::SnapshotCommitOrecsIfNeeded(TxDesc& d) {
   if (d.internal) {
     return;
   }
+  d.commit_orecs.clear();
   // Both peeks run BEFORE the commit-side [retry-dekker] seq_cst fence in
   // Commit(), so either may miss a registration racing this commit
   // (store-buffering); they are heuristics that only avoid the copy, never
@@ -433,8 +436,6 @@ void TmSystem::SnapshotCommitOrecsIfNeeded(TxDesc& d) {
       !(cfg_.targeted_wakeup && waiters_->HasWaiters())) {
     return;
   }
-  d.commit_orecs.clear();
-  d.commit_orecs.reserve(d.locks.size());
   for (const LockedOrec& l : d.locks) {
     d.commit_orecs.push_back(l.orec);
   }
@@ -444,11 +445,13 @@ void TmSystem::SnapshotCommitOrecsFromUndoIfNeeded(TxDesc& d) {
   // Serial-irrevocable commits hold no orecs; their write set is the undo log.
   // Retry-Orig never runs on the HTM backend, so only the wake index needs the
   // snapshot here.
-  if (d.internal || !(cfg_.targeted_wakeup && waiters_->HasWaiters())) {
+  if (d.internal) {
     return;
   }
   d.commit_orecs.clear();
-  d.commit_orecs.reserve(d.undo.Size());
+  if (!(cfg_.targeted_wakeup && waiters_->HasWaiters())) {
+    return;
+  }
   for (const UndoLog::Entry& e : d.undo.entries()) {
     d.commit_orecs.push_back(&orecs_.For(e.addr));
   }

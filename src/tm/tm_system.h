@@ -182,6 +182,9 @@ class TmSystem {
   WaiterRegistry& waiters() { return *waiters_; }
   RetryOrigRegistry& retry_orig() { return *retry_orig_; }
   WakeIndex& wake_index() { return *wake_index_; }
+  // The domain's ownership records (address → orec), e.g. to ask which
+  // wake-index shard or fingerprint bits an address maps to.
+  OrecTable& orecs() { return orecs_; }
 
   // The domain's parking lot: every waiter parks on its descriptor's ParkSpot
   // through this lot (futex-backed on Linux; see src/common/parking_lot.h).

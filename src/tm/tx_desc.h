@@ -134,7 +134,10 @@ struct TxDesc {
   std::chrono::steady_clock::time_point active_deadline{};
   std::vector<DeferredCvSignal> deferred_signals;
   // Writer-side snapshot of acquired orecs, taken just before lock release when
-  // Retry-Orig waiters exist (Algorithm 1's TxCommit intersection needs it).
+  // Retry-Orig or wake-index waiters exist (Algorithm 1's TxCommit
+  // intersection and the targeted wake pass need it). Cleared after each
+  // commit's wake passes; the buffer keeps its capacity, so a writer commit
+  // allocates nothing while waiters are registered.
   std::vector<const Orec*> commit_orecs;
 
   // --- wakeWaiters scratch (writer side, reused commit to commit) ---
@@ -163,10 +166,9 @@ struct TxDesc {
   // the registry's populated tid bound, growing on demand for segments
   // published mid-pass.
   std::vector<std::uint64_t> wake_seen_scratch;
-  // Repair-stable copy of the registry's segment summary (summary_words()
-  // words), taken once per wake pass and used as the wake index's segment
-  // iteration mask (WakeIndex::ForEachCandidateInSegments).
-  std::vector<std::uint64_t> wake_seg_scratch;
+  // WakeIndex::FingerprintOf of each written orec, the wake pass's
+  // fingerprint filter (empty when the write set is too large to filter).
+  std::vector<std::uint64_t> wake_fp_scratch;
   // Wake-transaction abort rate, EWMA in permille (0..1000), alpha = 1/8:
   // updated by the owning writer after each wake pass from (batch lambda
   // executions - committed batches). adaptive_wake_batch shrinks the

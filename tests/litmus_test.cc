@@ -17,10 +17,12 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/cpu.h"
 #include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 #include "src/tm/orec_table.h"
+#include "src/tm/quiesce.h"
 #include "src/tm/version_clock.h"
 
 // mo-edge: [harness] (minimal: release/acquire) — test/bench harness
@@ -32,6 +34,14 @@
 
 namespace tcs {
 namespace {
+
+// Keeps the calling thread busy for a few hundred nanoseconds, so a racing
+// thread can get well into its side of a litmus shape.
+void Dwell() {
+  for (int i = 0; i < 256; ++i) {
+    CpuRelax();
+  }
+}
 
 // --------------------------------------------------------------------------
 // [wake-publish] — message passing through the bitmap + clock chain.
@@ -170,6 +180,72 @@ TEST(LitmusRetryDekkerTest, FencesExcludeStoreBufferingOutcome) {
 }
 
 // --------------------------------------------------------------------------
+// [quiesce-dekker] parked leg — store buffering between a thread leaving a
+// park and a committer's scan. Thread: clear parked bit (seq_cst RMW), sample
+// the clock, publish its slot, sample the orec, and — only if the orec is
+// clean — read the payload. Committer: bump the orec, Increment the clock,
+// scan (parked bitmap, then slots), then reclaim the payload. Forbidden
+// outcome: the scan skips the thread on a stale parked bit AND the thread's
+// orec sample misses the bump — it would read reclaimed memory. The plain
+// payload makes that outcome a reported race under TSan as well.
+// --------------------------------------------------------------------------
+TEST(LitmusQuiesceParkedTest, ParkedBitClearExcludesStaleSkip) {
+  constexpr int kRounds = 1000;
+  constexpr int kCommitter = 0;
+  constexpr int kThread = 1;
+  QuiesceTable quiesce(/*max_threads=*/64);
+  VersionClock clock;
+  quiesce.SetInactive(kThread);  // allocates the segment
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<std::uint64_t> orec{0};
+    std::uint64_t payload = 1;  // plain: reclaimed by the committer
+    std::uint64_t seen_payload = 0;
+    std::atomic<bool> reclaimed{false};
+    bool clean = false;
+    quiesce.MarkParked(kThread);
+    std::atomic<int> ready{0};
+    auto rendezvous = [&] {
+      // mo: acq_rel — [harness] cross-thread counter/flag RMW.
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      // mo: acquire — [harness] observe worker-published state.
+      while (ready.load(std::memory_order_acquire) < 2) {
+        CpuRelax();
+      }
+    };
+    std::thread thread([&] {
+      rendezvous();
+      quiesce.MarkRunning(kThread);
+      quiesce.SetActive(kThread, clock.Load());
+      // mo: acquire — [orec-publish]: the transaction's orec sample.
+      clean = orec.load(std::memory_order_acquire) == 0;
+      if (clean) {
+        Dwell();  // hold the transaction open while the committer scans
+        seen_payload = payload;  // race-free iff the parked leg holds
+        // mo: acquire — [harness] observe worker-published state.
+        EXPECT_FALSE(reclaimed.load(std::memory_order_acquire))
+            << "round " << round << ": running reader skipped as parked";
+      }
+      quiesce.SetInactive(kThread);
+    });
+    std::thread committer([&] {
+      rendezvous();
+      // mo: release — [orec-publish]: the commit's orec bump.
+      orec.store(1, std::memory_order_release);
+      const std::uint64_t end = clock.Increment();
+      quiesce.WaitForReadersBefore(end, kCommitter);
+      payload = 0;
+      // mo: release — [harness] publish state to other harness threads.
+      reclaimed.store(true, std::memory_order_release);
+    });
+    thread.join();
+    committer.join();
+    if (clean) {
+      EXPECT_EQ(seen_payload, 1u);
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
 // End-to-end publication litmus on every backend: a waiter whose predicate is
 // false retries; a writer then commits the predicate true. The wakeup must
 // arrive (RetryFor is a bounded safety net, not the expected path). This is
@@ -215,6 +291,107 @@ TEST_P(LitmusBackendTest, CommitAfterRegistrationIsNeverLost) {
     ASSERT_FALSE(timed_out.load(std::memory_order_acquire))
         << "lost wakeup on " << BackendName(GetParam()) << " round " << round;
   }
+}
+
+// --------------------------------------------------------------------------
+// Privatization under park/unpark churn, end to end on every backend.
+// Readers alternate plain read transactions with Retry waits on their own
+// gate cell, so they keep parking (setting their quiescence parked bit) and
+// waking straight into a transaction that dereferences the shared node. A
+// writer swaps the node and, once its commit returns, poisons and frees the
+// old one non-transactionally. A reader that a commit's quiescence scan
+// wrongly skipped would commit having seen the poison.
+// --------------------------------------------------------------------------
+constexpr std::uint64_t kAlive = 0xA11FE;
+constexpr std::uint64_t kDead = 0xDEAD;
+struct PrivNode {
+  TVar<std::uint64_t> magic{kAlive};
+};
+struct alignas(64) Gate {
+  TVar<std::uint64_t> v;
+};
+
+TEST_P(LitmusBackendTest, ParkingReadersNeverSeePrivatizedMemory) {
+  constexpr int kReaders = 3;
+  constexpr int kReadsPerReader = 2000;
+  constexpr int kSwaps = 2000;
+  TmConfig cfg;
+  cfg.backend = GetParam();
+  cfg.orec_table_log2 = 12;
+  cfg.max_threads = 16;
+  Runtime rt(cfg);
+  TVar<PrivNode*> head(new PrivNode);
+  Gate gates[kReaders];
+  std::atomic<int> poisoned_reads{0};
+  std::atomic<bool> readers_done{false};
+
+  auto read_node = [&](Tx& tx) {
+    PrivNode* n = tx.Load(head);
+    Dwell();  // widen the window in which the writer may swap and free n
+    return tx.Load(n->magic);
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      std::uint64_t seen_gate = 0;
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        std::uint64_t magic = 0;
+        if (i % 4 == 3) {
+          // Park until the gate moves, then read the node in the same
+          // transaction the wakeup re-executes.
+          Atomically(rt.sys(), [&](Tx& tx) {
+            const std::uint64_t g = tx.Load(gates[r].v);
+            if (g == seen_gate) {
+              tx.Retry();
+            }
+            seen_gate = g;
+            magic = read_node(tx);
+          });
+        } else {
+          Atomically(rt.sys(), [&](Tx& tx) { magic = read_node(tx); });
+        }
+        if (magic != kAlive) {
+          // mo: acq_rel — [harness] cross-thread counter/flag RMW.
+          poisoned_reads.fetch_add(1, std::memory_order_acq_rel);
+        }
+      }
+    });
+  }
+  std::thread gatekeeper([&] {
+    // mo: acquire — [harness] observe worker-published state.
+    while (!readers_done.load(std::memory_order_acquire)) {
+      for (Gate& g : gates) {
+        Atomically(rt.sys(), [&](Tx& tx) { tx.Store(g.v, tx.Load(g.v) + 1); });
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  std::thread writer([&] {
+    for (int i = 0; i < kSwaps; ++i) {
+      PrivNode* fresh = new PrivNode;
+      PrivNode* old = nullptr;
+      Atomically(rt.sys(), [&](Tx& tx) {
+        old = tx.Load(head);
+        tx.Store(head, fresh);
+      });
+      old->magic.UnsafeWrite(kDead);  // privatized: no transaction sees it
+      delete old;
+    }
+  });
+  for (auto& t : readers) {
+    t.join();
+  }
+  // mo: release — [harness] publish state to other harness threads.
+  readers_done.store(true, std::memory_order_release);
+  gatekeeper.join();
+  writer.join();
+  delete head.UnsafeRead();
+  // mo: acquire — [harness] observe worker-published state.
+  EXPECT_EQ(poisoned_reads.load(std::memory_order_acquire), 0)
+      << "a reader committed after reading privatized memory on "
+      << BackendName(GetParam());
+  EXPECT_GT(rt.AggregateStats().Get(Counter::kSleeps), 0u)
+      << "readers never parked; the test lost its shape";
 }
 
 INSTANTIATE_TEST_SUITE_P(

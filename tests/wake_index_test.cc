@@ -533,6 +533,225 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// --- waitset fingerprints and per-shard segment summaries ---
+
+// Two cells in distinct orecs of the same wake-index shard. With `colliding`
+// the second orec's fingerprint bits lie inside the first's, so the filter
+// cannot tell them apart; without, it can.
+struct CellPair {
+  int waited = -1;
+  int written = -1;
+};
+
+CellPair FindShardAliases(TmSystem& sys, const PaddedCell* cells, int n,
+                          bool colliding) {
+  for (int a = 0; a < n; ++a) {
+    const Orec* oa = &sys.orecs().For(cells[a].v.word());
+    for (int b = 0; b < n; ++b) {
+      const Orec* ob = &sys.orecs().For(cells[b].v.word());
+      if (oa == ob ||
+          sys.wake_index().ShardOf(oa) != sys.wake_index().ShardOf(ob)) {
+        continue;
+      }
+      const std::uint64_t fb = WakeIndex::FingerprintOf(ob);
+      if (WakeIndex::MayOverlap(WakeIndex::FingerprintOf(oa), &fb, 1) ==
+          colliding) {
+        return {a, b};
+      }
+    }
+  }
+  return {};
+}
+
+class FingerprintFilterTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  // One shard: every waiter aliases every writer, so only the fingerprint
+  // separates them.
+  TmConfig Config() const { return ConfigFor(GetParam(), true, 1); }
+};
+
+// A waiter that merely shares a shard with a hot writer's cell costs that
+// writer no wake check at all: the fingerprint drops it before any claim.
+TEST_P(FingerprintFilterTest, AliasedWaiterCostsNoWakeChecks) {
+  constexpr int kCells = 256;
+  constexpr std::uint64_t kCommits = 100;
+  Runtime rt(Config());
+  auto cells = std::make_unique<PaddedCell[]>(kCells);
+  const CellPair p = FindShardAliases(rt.sys(), cells.get(), kCells, false);
+  ASSERT_GE(p.waited, 0) << "no fingerprint-distinct orec pair among "
+                         << kCells << " cells";
+  std::thread waiter([&] {
+    Atomically(rt.sys(), [&](Tx& tx) {
+      if (tx.Load(cells[p.waited].v) == 0) {
+        tx.Retry();
+      }
+    });
+  });
+  AwaitCounter(rt, Counter::kSleeps, 1);
+  rt.ResetStats();
+  for (std::uint64_t i = 1; i <= kCommits; ++i) {
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[p.written].v, i); });
+  }
+  const TxStats s = rt.AggregateStats();
+  EXPECT_EQ(s.Get(Counter::kWakeChecks), 0u);
+  EXPECT_EQ(s.Get(Counter::kWakeFingerprintSkips), kCommits);
+  EXPECT_EQ(s.Get(Counter::kWakeups), 0u);
+  Atomically(rt.sys(), [&](Tx& tx) {
+    tx.Store(cells[p.waited].v, std::uint64_t{1});
+  });
+  waiter.join();
+  EXPECT_TRUE(rt.sys().wake_index().Empty());
+}
+
+// A fingerprint is a filter, never a verdict: an aliased waiter whose bits
+// collide with the writer's still gets its (failing) wake check, and its own
+// cell's write still wakes it exactly once.
+TEST_P(FingerprintFilterTest, CollidingFingerprintStillWakesExactlyOnce) {
+  constexpr int kCells = 512;
+  constexpr std::uint64_t kCommits = 50;
+  Runtime rt(Config());
+  auto cells = std::make_unique<PaddedCell[]>(kCells);
+  const CellPair p = FindShardAliases(rt.sys(), cells.get(), kCells, true);
+  ASSERT_GE(p.waited, 0) << "no fingerprint-colliding orec pair among "
+                         << kCells << " cells";
+  std::thread waiter([&] {
+    Atomically(rt.sys(), [&](Tx& tx) {
+      if (tx.Load(cells[p.waited].v) == 0) {
+        tx.Retry();
+      }
+    });
+  });
+  AwaitCounter(rt, Counter::kSleeps, 1);
+  rt.ResetStats();
+  for (std::uint64_t i = 1; i <= kCommits; ++i) {
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[p.written].v, i); });
+  }
+  TxStats s = rt.AggregateStats();
+  EXPECT_EQ(s.Get(Counter::kWakeChecks), kCommits);
+  EXPECT_EQ(s.Get(Counter::kWakeFingerprintSkips), 0u);
+  EXPECT_EQ(s.Get(Counter::kWakeups), 0u);
+  Atomically(rt.sys(), [&](Tx& tx) {
+    tx.Store(cells[p.waited].v, std::uint64_t{1});
+  });
+  waiter.join();
+  s = rt.AggregateStats();
+  EXPECT_EQ(s.Get(Counter::kWakeups), 1u);
+  EXPECT_EQ(s.Get(Counter::kSleeps), 0u) << "the waiter re-parked";
+  EXPECT_TRUE(rt.sys().wake_index().Empty());
+}
+
+// Sleepers and churning timed waiters share a handful of shards, so the
+// per-shard segment summary bits are cleared and re-set constantly while
+// writers consult them. Every sleeper must still see every write addressed
+// to it (a lost wakeup hangs the test), and nothing may leak.
+TEST_P(FingerprintFilterTest, SegmentSummaryChurnLosesNoWakeup) {
+  constexpr int kSleepers = 4;
+  constexpr int kChurners = 4;
+  constexpr std::uint64_t kRounds = 30;
+  TmConfig cfg = ConfigFor(GetParam(), true, 4);
+  Runtime rt(cfg);
+  auto cells = std::make_unique<PaddedCell[]>(kSleepers + kChurners);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> churners;
+  for (int c = 0; c < kChurners; ++c) {
+    churners.emplace_back([&, c] {
+      // mo: acquire — [harness] observe worker-published state.
+      while (!stop.load(std::memory_order_acquire)) {
+        Atomically(rt.sys(), [&](Tx& tx) {
+          if (tx.Load(cells[kSleepers + c].v) == 0) {
+            (void)tx.RetryFor(std::chrono::microseconds(100));
+          }
+        });
+      }
+    });
+  }
+  std::vector<std::thread> sleepers;
+  for (int s = 0; s < kSleepers; ++s) {
+    sleepers.emplace_back([&, s] {
+      for (std::uint64_t r = 1; r <= kRounds; ++r) {
+        Atomically(rt.sys(), [&](Tx& tx) {
+          if (tx.Load(cells[s].v) < r) {
+            tx.Retry();
+          }
+        });
+      }
+    });
+  }
+  for (std::uint64_t r = 1; r <= kRounds; ++r) {
+    for (int s = 0; s < kSleepers; ++s) {
+      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[s].v, r); });
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+  for (auto& t : sleepers) {
+    t.join();
+  }
+  // mo: release — [harness] publish state to other harness threads.
+  stop.store(true, std::memory_order_release);
+  for (auto& t : churners) {
+    t.join();
+  }
+  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_TRUE(rt.sys().wake_index().Empty())
+      << "an index entry or summary bit leaked through the churn";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, FingerprintFilterTest,
+                         ::testing::Values(Backend::kEagerStm,
+                                           Backend::kLazyStm,
+                                           Backend::kSimHtm),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return BackendTestName(info.param);
+                         });
+
+// The summary-repair race at the bare index: a churner's last waiter leaves a
+// (shard, segment) row — clearing its summary bit under the repair protocol —
+// while a registrant in the same segment and shard inserts. Once both are
+// done the registrant is still registered, so a writer's scan must find it:
+// a repair that cleared the bit without rescanning would hide it for good.
+TEST(WakeIndexUnitTest, SummaryRepairRaceKeepsRegistrationVisible) {
+  constexpr int kRounds = 2000;
+  constexpr int kChurnTid = 1;
+  constexpr int kTid = 2;
+  WakeIndex idx(/*max_threads=*/512, /*num_shards=*/64);
+  Orec o;
+  const Orec* orecs[1] = {&o};
+  std::vector<std::uint64_t> shard_set(
+      static_cast<std::size_t>(idx.shard_words()));
+  idx.BuildShardSet(orecs, 1, shard_set.data());
+  int misses = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> ready{0};
+    auto rendezvous = [&] {
+      // mo: acq_rel — [harness] cross-thread counter/flag RMW.
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      // mo: acquire — [harness] observe worker-published state.
+      while (ready.load(std::memory_order_acquire) < 2) {
+      }
+    };
+    idx.AddIndexed(kChurnTid, orecs, 1);
+    std::thread churner([&] {
+      rendezvous();
+      idx.Remove(kChurnTid);
+    });
+    std::thread registrant([&] {
+      rendezvous();
+      idx.AddIndexed(kTid, orecs, 1);
+    });
+    churner.join();
+    registrant.join();
+    bool seen = false;
+    idx.ForEachCandidateIn(shard_set.data(), [&](int tid) {
+      seen |= (tid == kTid);
+      return true;
+    });
+    misses += seen ? 0 : 1;
+    idx.Remove(kTid);
+  }
+  EXPECT_EQ(misses, 0) << "a summary repair hid a live registration";
+  EXPECT_TRUE(idx.Empty());
+}
+
 // --- empty-waitset registration (the wake-path registration bugfix) ---
 
 class EmptyWaitsetTest : public ::testing::TestWithParam<Backend> {};
