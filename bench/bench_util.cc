@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -8,47 +9,54 @@
 
 namespace tcs {
 
-BenchFlags::BenchFlags(int argc, char** argv) {
+BenchFlags::BenchFlags(int argc, char** argv,
+                       const std::vector<std::string>& known) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) {
-      std::fprintf(stderr, "unknown argument: %s (expected --key=value)\n", arg);
+    std::string key;
+    std::string value = "1";
+    if (std::strncmp(arg, "--", 2) == 0) {
+      const char* eq = std::strchr(arg, '=');
+      key = eq == nullptr ? std::string(arg + 2) : std::string(arg + 2, eq);
+      if (eq != nullptr) {
+        value = eq + 1;
+      }
+    }
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "unknown argument: %s\nvalid flags:", arg);
+      for (const std::string& k : known) {
+        std::fprintf(stderr, " --%s", k.c_str());
+      }
+      std::fprintf(stderr, "\n");
       std::exit(2);
     }
-    const char* eq = std::strchr(arg, '=');
-    if (eq == nullptr) {
-      kv_.emplace_back(std::string(arg + 2), "1");
-    } else {
-      kv_.emplace_back(std::string(arg + 2, eq), std::string(eq + 1));
-    }
+    kv_.emplace_back(std::move(key), std::move(value));
   }
 }
 
-bool BenchFlags::Has(const std::string& key) const {
+const std::string* BenchFlags::Find(const std::string& key) const {
   for (const auto& [k, v] : kv_) {
     if (k == key) {
-      return true;
+      return &v;
     }
   }
-  return false;
+  return nullptr;
 }
 
 std::uint64_t BenchFlags::GetU64(const std::string& key, std::uint64_t def) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) {
-      return std::strtoull(v.c_str(), nullptr, 10);
-    }
-  }
-  return def;
+  const std::string* v = Find(key);
+  return v == nullptr ? def : std::strtoull(v->c_str(), nullptr, 10);
 }
 
 bool BenchFlags::GetBool(const std::string& key, bool def) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == key) {
-      return v != "0" && v != "false";
-    }
-  }
-  return def;
+  const std::string* v = Find(key);
+  return v == nullptr ? def : (*v != "0" && *v != "false");
+}
+
+std::string BenchFlags::GetString(const std::string& key,
+                                  const std::string& def) const {
+  const std::string* v = Find(key);
+  return v == nullptr ? def : *v;
 }
 
 TrialStats Summarize(const std::vector<double>& samples) {
@@ -75,18 +83,6 @@ double NowSec() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void PrintHeader(const std::string& figure, const std::string& description) {
-  std::printf("# %s\n# %s\n", figure.c_str(), description.c_str());
-}
-
-void PrintColumns(const std::vector<std::string>& cols) {
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    std::printf("%s%-14s", i == 0 ? "" : " ", cols[i].c_str());
-  }
-  std::printf("\n");
-  std::fflush(stdout);
 }
 
 }  // namespace tcs

@@ -1,10 +1,10 @@
 #include "bench/bounded_grid.h"
 
-#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/sync/bounded_buffer.h"
 
 namespace tcs {
@@ -58,18 +58,6 @@ double RunTrial(Backend backend, Mechanism mech, int producers, int consumers,
 
 }  // namespace
 
-BoundedGridOptions ApplyFlags(BoundedGridOptions opts, const BenchFlags& flags) {
-  if (flags.GetBool("paper", false)) {
-    // Paper-scale run: 2^20 elements, 5 trials (§2.4.1).
-    opts.ops = 1 << 20;
-    opts.trials = 5;
-  }
-  opts.ops = flags.GetU64("ops", opts.ops);
-  opts.trials = flags.GetU64("trials", opts.trials);
-  opts.max_side = static_cast<int>(flags.GetU64("max_side", opts.max_side));
-  return opts;
-}
-
 std::vector<BoundedGridRow> CollectBoundedGrid(const BoundedGridOptions& opts) {
   std::vector<BoundedGridRow> rows;
   for (int p : {1, 2, 4, 8}) {
@@ -94,27 +82,6 @@ std::vector<BoundedGridRow> CollectBoundedGrid(const BoundedGridOptions& opts) {
     }
   }
   return rows;
-}
-
-void RunBoundedGrid(const char* figure_name, const BoundedGridOptions& opts) {
-  PrintHeader(figure_name,
-              "bounded buffer: time in seconds per trial; rows = panel(p-c) x "
-              "buffer size x mechanism");
-  std::printf("# backend=%s ops=%llu trials=%llu\n", BackendName(opts.backend),
-              static_cast<unsigned long long>(opts.ops),
-              static_cast<unsigned long long>(opts.trials));
-  PrintColumns({"panel", "bufsize", "mechanism", "mean_s", "stddev_s"});
-
-  for (const BoundedGridRow& r : CollectBoundedGrid(opts)) {
-    char panel[16];
-    std::snprintf(panel, sizeof(panel), "p%d-c%d", r.producers, r.consumers);
-    char mean[32];
-    char dev[32];
-    std::snprintf(mean, sizeof(mean), "%.4f", r.mean_s);
-    std::snprintf(dev, sizeof(dev), "%.4f", r.stddev_s);
-    PrintColumns({panel, std::to_string(r.buffer_size), MechanismName(r.mech),
-                  mean, dev});
-  }
 }
 
 }  // namespace tcs

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/core/mechanism.h"
 #include "src/tm/tm_config.h"
 
@@ -17,18 +16,17 @@ struct BoundedGridOptions {
   Backend backend = Backend::kEagerStm;
   // Figures 2.3/2.4 include Retry-Orig; Figure 2.5 (HTM) cannot (§2.1).
   bool include_retry_orig = true;
-  // Total elements produced (and consumed) per trial. The paper uses 2^20; the
-  // default here is scaled down for container-class hardware (override with
-  // --ops). The buffer is half-filled before each trial (§2.4.1).
+  // Total elements produced (and consumed) per trial. The paper uses 2^20
+  // (bench_main --paper); the default here is scaled down for container-class
+  // hardware. The buffer is half-filled before each trial (§2.4.1).
   std::uint64_t ops = 1 << 14;
   std::uint64_t trials = 3;
   // Keep oversubscribed panels bounded on tiny machines: skip producer/consumer
-  // counts above this (override with --max_threads).
+  // counts above this (bench_main --max_side).
   int max_side = 8;
 };
 
-// One measured grid point; the JSON harness (bench_main) serializes these and
-// the figure binaries print them.
+// One measured grid point; bench_main serializes these as JSON rows.
 struct BoundedGridRow {
   int producers;
   int consumers;
@@ -40,12 +38,6 @@ struct BoundedGridRow {
 
 // Runs the full grid and returns one row per (panel, buffer size, mechanism).
 std::vector<BoundedGridRow> CollectBoundedGrid(const BoundedGridOptions& opts);
-
-// Runs the full grid and prints one row per (panel, buffer size, mechanism).
-void RunBoundedGrid(const char* figure_name, const BoundedGridOptions& opts);
-
-// Applies --ops/--trials/--max_side/--paper flags.
-BoundedGridOptions ApplyFlags(BoundedGridOptions opts, const BenchFlags& flags);
 
 }  // namespace tcs
 

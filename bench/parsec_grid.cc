@@ -1,39 +1,16 @@
 #include "bench/parsec_grid.h"
 
-#include <cstdio>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/assert.h"
 #include "src/miniparsec/app_common.h"
 
 namespace tcs {
 
-ParsecGridOptions ApplyParsecFlags(ParsecGridOptions opts, const BenchFlags& flags) {
-  opts.scale = flags.GetU64("scale", opts.scale);
-  opts.trials = flags.GetU64("trials", opts.trials);
-  opts.max_threads = static_cast<int>(flags.GetU64("max_threads", opts.max_threads));
-  if (flags.GetBool("paper", false)) {
-    opts.scale = 8;
-    opts.trials = 5;
-  }
-  return opts;
-}
-
 std::vector<ParsecGridRow> CollectParsecGrid(const ParsecGridOptions& opts) {
   std::vector<ParsecGridRow> rows;
   for (const AppInfo& app : MiniParsecApps()) {
-    if (!opts.apps.empty()) {
-      bool wanted = false;
-      for (const std::string& name : opts.apps) {
-        if (name == app.name) {
-          wanted = true;
-          break;
-        }
-      }
-      if (!wanted) {
-        continue;
-      }
-    }
     for (int threads : {1, 2, 4, 8}) {
       if (threads > opts.max_threads) {
         continue;
@@ -72,28 +49,6 @@ std::vector<ParsecGridRow> CollectParsecGrid(const ParsecGridOptions& opts) {
     }
   }
   return rows;
-}
-
-void RunParsecGrid(const char* figure_name, const ParsecGridOptions& opts) {
-  PrintHeader(figure_name,
-              "mini-PARSEC: time in seconds; rows = app x threads x mechanism; "
-              "checksums verified against the Pthreads reference");
-  std::printf("# backend=%s scale=%llu trials=%llu\n", BackendName(opts.backend),
-              static_cast<unsigned long long>(opts.scale),
-              static_cast<unsigned long long>(opts.trials));
-  PrintColumns({"app", "threads", "mechanism", "mean_s", "stddev_s",
-                "throughput"});
-
-  for (const ParsecGridRow& r : CollectParsecGrid(opts)) {
-    char mean[32];
-    char dev[32];
-    char tput[32];
-    std::snprintf(mean, sizeof(mean), "%.4f", r.mean_s);
-    std::snprintf(dev, sizeof(dev), "%.4f", r.stddev_s);
-    std::snprintf(tput, sizeof(tput), "%.2f", r.throughput);
-    PrintColumns({r.app, std::to_string(r.threads), MechanismName(r.mech), mean,
-                  dev, tput});
-  }
 }
 
 }  // namespace tcs

@@ -3,10 +3,10 @@
 #ifndef TCS_BENCH_PARSEC_GRID_H_
 #define TCS_BENCH_PARSEC_GRID_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/core/mechanism.h"
 #include "src/tm/tm_config.h"
 
@@ -18,8 +18,6 @@ struct ParsecGridOptions {
   std::uint64_t scale = 4;
   std::uint64_t trials = 3;
   int max_threads = 8;
-  // Restrict to these apps when non-empty (bench_main --quick uses a subset).
-  std::vector<std::string> apps;
 };
 
 struct ParsecGridRow {
@@ -36,10 +34,6 @@ struct ParsecGridRow {
 // Runs the sweep and returns one row per (app, threads, mechanism); aborts if
 // any mechanism disagrees with the run's reference checksum.
 std::vector<ParsecGridRow> CollectParsecGrid(const ParsecGridOptions& opts);
-
-void RunParsecGrid(const char* figure_name, const ParsecGridOptions& opts);
-
-ParsecGridOptions ApplyParsecFlags(ParsecGridOptions opts, const BenchFlags& flags);
 
 }  // namespace tcs
 

@@ -35,8 +35,7 @@ struct WaiterScaleOptions {
   // ones, timing out and re-arming continuously. 0 disables timed churn.
   int timed_every = 8;
   std::uint64_t timed_timeout_ms = 5;
-  // TmConfig::park_backend (0 auto / 1 futex / 2 pool) and timer_wheel.
-  int park_backend = 0;
+  // TmConfig::timer_wheel.
   bool timer_wheel = true;
 };
 
@@ -45,8 +44,6 @@ struct WaiterScaleResult {
   int requested_waiters = 0;  // WaiterScaleOptions::waiters as asked for
   int waiters = 0;   // target after the pid_max spawn-ceiling clamp
   int spawned = 0;   // actually running (thread creation may hit EAGAIN)
-  int park_backend = 0;
-  bool uses_futex = false;
   bool timer_wheel = false;
   double park_seconds = 0.0;  // spawn start → all spawned waiters registered
   double wake_seconds = 0.0;  // verify-phase wall time

@@ -1,5 +1,6 @@
 #include "bench/wake_scenarios.h"
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -7,8 +8,16 @@
 
 #include "bench/bench_util.h"
 #include "src/condsync/waiter_registry.h"
+#include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
+
+// mo-edge: [harness] (minimal: release/acquire) — test/bench harness
+// coordination: flags and counters published by worker threads and
+// observed by the test body or sibling threads (often additionally
+// ordered by thread join). acquire/release is a uniform upper bound
+// chosen over per-site minimality; none of these sites needs seq_cst
+// totality.
 
 namespace tcs {
 
@@ -155,6 +164,72 @@ WakeTrialResult RunWakeIndexTrial(Backend backend, bool targeted, int waiters,
   opts.waiters = waiters;
   opts.producer_commits = producer_commits;
   return RunWakeIndexTrial(opts);
+}
+
+WakeVerifyResult VerifyNoLostWakeups(Backend backend, int batch, bool cas,
+                                     bool adaptive, int waiters,
+                                     std::chrono::seconds deadline) {
+  TmConfig cfg;
+  cfg.backend = backend;
+  cfg.max_threads = waiters + 8;
+  cfg.wake_batch_size = batch;
+  cfg.cas_claim_fast_path = cas;
+  cfg.adaptive_wake_batch = adaptive;
+  struct State {
+    State(const TmConfig& c, int n)
+        : rt(c),
+          cells(std::make_unique<PaddedCell[]>(static_cast<std::size_t>(n))) {}
+    Runtime rt;
+    std::unique_ptr<PaddedCell[]> cells;
+    std::atomic<int> woken{0};
+  };
+  auto st = std::make_unique<State>(cfg, waiters);
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(waiters));
+  for (int w = 0; w < waiters; ++w) {
+    threads.emplace_back([s = st.get(), w] {
+      Atomically(s->rt.sys(), [&](Tx& tx) {
+        if (tx.Load(s->cells[w].v) == 0) {
+          tx.Retry();
+        }
+      });
+      // mo: release — [harness] publish the wake to the verifying thread.
+      s->woken.fetch_add(1, std::memory_order_release);
+    });
+  }
+  while (st->rt.sys().waiters().RegisteredCount() < waiters) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  for (int w = 0; w < waiters; ++w) {
+    Atomically(st->rt.sys(),
+               [&](Tx& tx) { tx.Store(st->cells[w].v, std::uint64_t{1}); });
+  }
+  WakeVerifyResult r;
+  const auto until = std::chrono::steady_clock::now() + deadline;
+  // mo: acquire — [harness] observe worker-published wakes.
+  while (st->woken.load(std::memory_order_acquire) < waiters) {
+    if (std::chrono::steady_clock::now() >= until) {
+      // mo: acquire — [harness] observe worker-published wakes.
+      r.lost_wakeups = static_cast<std::uint64_t>(
+          waiters - st->woken.load(std::memory_order_acquire));
+      // The stuck waiters stay parked in `st` until the process exits.
+      for (auto& t : threads) {
+        t.detach();
+      }
+      static_cast<void>(st.release());
+      return r;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  r.leaked_entries =
+      static_cast<std::uint64_t>(st->rt.sys().waiters().RegisteredCount());
+  if (r.leaked_entries == 0 && !st->rt.sys().wake_index().Empty()) {
+    r.leaked_entries = 1;
+  }
+  return r;
 }
 
 }  // namespace tcs

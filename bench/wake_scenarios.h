@@ -17,6 +17,7 @@
 #ifndef TCS_BENCH_WAKE_SCENARIOS_H_
 #define TCS_BENCH_WAKE_SCENARIOS_H_
 
+#include <chrono>
 #include <cstdint>
 
 #include "src/tm/tm_config.h"
@@ -73,7 +74,7 @@ struct WakeTrialResult {
   std::uint64_t cas_claims = 0;    // waiters claimed without any wake tx
   std::uint64_t cas_fallbacks = 0;  // fast-path bails into the batched path
   std::uint64_t wake_tx_aborts = 0;  // aborted wake-transaction attempts
-  std::uint64_t wakeups = 0;       // all semaphore posts, vacuous included
+  std::uint64_t wakeups = 0;       // all wake-token posts, vacuous included
   // Conservative empty-waitset posts: no evidence anyone was satisfied, so
   // precision rows report genuine_wakeups = wakeups - vacuous_wakeups.
   std::uint64_t vacuous_wakeups = 0;
@@ -82,7 +83,7 @@ struct WakeTrialResult {
   double wake_batches_per_commit = 0.0;
   // Latency distributions (log2-bucket histograms, src/obs/), sampled over the
   // hot-producer phase only. Commit latency covers the producer's committed
-  // attempts; wake latency is the waker's semaphore post → waiter resume
+  // attempts; wake latency is the waker's wake-token post → waiter resume
   // hand-off. Percentile values are bucket upper bounds (conservative).
   std::uint64_t commit_latency_count = 0;
   std::uint64_t commit_p50_ns = 0;
@@ -104,6 +105,22 @@ WakeTrialResult RunWakeIndexTrial(const WakeTrialOptions& opts);
 // Convenience overload for the classic disjoint scenario at default shards.
 WakeTrialResult RunWakeIndexTrial(Backend backend, bool targeted, int waiters,
                                   std::uint64_t producer_commits);
+
+struct WakeVerifyResult {
+  std::uint64_t lost_wakeups = 0;    // waiters not woken within the deadline
+  std::uint64_t leaked_entries = 0;  // wake registrations left after join
+};
+
+// No-lost-wakeup check for one wake configuration: parks `waiters` threads on
+// disjoint cells (targeted wakeup), satisfies each exactly once, and counts
+// the waiters that did not wake within `deadline`. After a clean run it
+// counts the registrations left behind (registry slots, or 1 when only the
+// wake index still holds an entry). Both must be zero. On a lost wakeup the
+// stuck threads and the runtime they park in are deliberately leaked: they
+// cannot be woken, joined or torn down.
+WakeVerifyResult VerifyNoLostWakeups(Backend backend, int batch, bool cas,
+                                     bool adaptive, int waiters,
+                                     std::chrono::seconds deadline);
 
 }  // namespace tcs
 

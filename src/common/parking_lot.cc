@@ -1,200 +1,106 @@
 #include "src/common/parking_lot.h"
 
-#include <condition_variable>
-#include <mutex>
+#if !defined(__linux__)
+#error "ParkSpot parks on futex(2); tcsync builds on Linux only"
+#endif
 
-#include "src/common/cache_line.h"
-
-#if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <climits>
 #include <ctime>
-#endif
 
 namespace tcs {
-namespace {
 
-// Bucket count for the pool backend: prime, so spot addresses (which share
-// low-bit alignment structure) spread evenly.
-constexpr std::size_t kNumBuckets = 251;
+void ParkSpot::Wait(std::uint32_t observed) {
+  // The kernel re-checks state == observed under its own lock before
+  // sleeping, so a token posted between our read and the syscall aborts the
+  // wait (EAGAIN) instead of being missed.
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&state_),
+          FUTEX_WAIT_PRIVATE, observed, nullptr, nullptr, 0);
+}
 
-}  // namespace
-
-// One hashed bucket of the pool backend. The mutex is held only around the
-// cv wait predicate and the poster's empty critical section; it orders
-// nothing but the sleep/wake itself (data ordering is carried by the spot's
-// state word, same as the futex backend).
-struct alignas(kCacheLineBytes) ParkingLot::Bucket {
-  std::mutex m;
-  std::condition_variable cv;
-};
-
-ParkingLot::ParkingLot(Backend backend) {
-#if defined(__linux__)
-  use_futex_ = (backend != Backend::kPool);
-#else
-  use_futex_ = false;
-  (void)backend;
-#endif
-  if (!use_futex_) {
-    buckets_ = std::make_unique<Bucket[]>(kNumBuckets);
+void ParkSpot::WaitUntil(std::uint32_t observed,
+                         std::chrono::steady_clock::time_point deadline) {
+  // FUTEX_WAIT_BITSET takes an *absolute* timespec; with FUTEX_CLOCK_REALTIME
+  // unset it is read against CLOCK_MONOTONIC, which is what libstdc++'s
+  // steady_clock is on Linux.
+  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                deadline.time_since_epoch())
+                .count();
+  if (ns < 0) {
+    ns = 0;
   }
+  struct timespec ts;
+  ts.tv_sec = static_cast<time_t>(ns / 1000000000);
+  ts.tv_nsec = static_cast<long>(ns % 1000000000);
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&state_),
+          FUTEX_WAIT_BITSET_PRIVATE, observed, &ts, nullptr,
+          FUTEX_BITSET_MATCH_ANY);
 }
 
-ParkingLot::~ParkingLot() = default;
-
-ParkingLot& ParkingLot::Default() {
-  static ParkingLot lot(Backend::kAuto);
-  return lot;
+void ParkSpot::WakeAll() {
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&state_),
+          FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
 }
 
-ParkingLot::Bucket& ParkingLot::BucketOf(const ParkSpot& spot) {
-  auto a = reinterpret_cast<std::uintptr_t>(&spot);
-  // Spots are at least 16-byte objects; drop the dead low bits before the
-  // prime modulus so neighbouring spots land in different buckets.
-  return buckets_[(a >> 4) % kNumBuckets];
-}
-
-void ParkingLot::WaitOn(ParkSpot& spot, std::uint32_t wanted,
-                        std::uint32_t observed) {
-#if defined(__linux__)
-  if (use_futex_) {
-    // The kernel re-checks state == observed under its own lock before
-    // sleeping, so a token posted between our read and the syscall aborts
-    // the wait (EAGAIN) instead of being missed.
-    syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&spot.state),
-            FUTEX_WAIT_PRIVATE, observed, nullptr, nullptr, 0);
-    return;
-  }
-#else
-  (void)observed;
-#endif
-  Bucket& b = BucketOf(spot);
-  std::unique_lock<std::mutex> lk(b.m);
-  b.cv.wait(lk, [&] {
-    // mo: acquire — [park-handoff] / [wheel-tick] wait-predicate re-read of
-    // the token word under the bucket mutex; pairs with the posting
-    // fetch_or so the sleeping side cannot keep waiting after a token is
-    // in (the poster's notify happens while holding this mutex). The
-    // token-consuming acquire RMW in the caller is the edge's real acquire
-    // endpoint; this load only gates the sleep.
-    return (spot.state.load(std::memory_order_acquire) & wanted) != 0u;
-  });
-}
-
-void ParkingLot::WaitOnUntil(ParkSpot& spot, std::uint32_t wanted,
-                             std::uint32_t observed,
-                             std::chrono::steady_clock::time_point deadline) {
-#if defined(__linux__)
-  if (use_futex_) {
-    // FUTEX_WAIT_BITSET takes an *absolute* timespec; with
-    // FUTEX_CLOCK_REALTIME unset it is read against CLOCK_MONOTONIC, which
-    // is what libstdc++'s steady_clock is on Linux.
-    auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            deadline.time_since_epoch())
-            .count();
-    if (ns < 0) {
-      ns = 0;
-    }
-    struct timespec ts;
-    ts.tv_sec = static_cast<time_t>(ns / 1000000000);
-    ts.tv_nsec = static_cast<long>(ns % 1000000000);
-    syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&spot.state),
-            FUTEX_WAIT_BITSET_PRIVATE, observed, &ts, nullptr,
-            FUTEX_BITSET_MATCH_ANY);
-    return;
-  }
-#else
-  (void)observed;
-#endif
-  Bucket& b = BucketOf(spot);
-  std::unique_lock<std::mutex> lk(b.m);
-  b.cv.wait_until(lk, deadline, [&] {
-    // mo: acquire — [park-handoff] wait-predicate re-read under the bucket
-    // mutex (see WaitOn); the consuming RMW in ParkUntil is the edge's
-    // acquire endpoint.
-    return (spot.state.load(std::memory_order_acquire) & wanted) != 0u;
-  });
-}
-
-void ParkingLot::WakeAll(ParkSpot& spot) {
-#if defined(__linux__)
-  if (use_futex_) {
-    syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&spot.state),
-            FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
-    return;
-  }
-#endif
-  Bucket& b = BucketOf(spot);
-  {
-    // Empty critical section: excludes the window between a sleeper's
-    // predicate check and its cv.wait, so the notify cannot be missed.
-    std::lock_guard<std::mutex> lk(b.m);
-  }
-  b.cv.notify_all();
-}
-
-void ParkingLot::Post(ParkSpot& spot) {
+void ParkSpot::Post() {
   // mo: release — [park-handoff] release endpoint: publishes the wake token
   // after the claim commit and wake-post stamp; the owner's token-consuming
-  // acquire RMW (ConsumeToken/ParkEither) pairs with this, making the
-  // committed claim visible to the woken waiter.
-  spot.state.fetch_or(kWakeToken, std::memory_order_release);
-  WakeAll(spot);
+  // acquire RMW (TakeWake) pairs with this, making the committed claim
+  // visible to the woken waiter.
+  state_.fetch_or(kWakeToken, std::memory_order_release);
+  WakeAll();
 }
 
-bool ParkingLot::PostTimeout(ParkSpot& spot, std::uint64_t epoch) {
+bool ParkSpot::PostTimeout(std::uint64_t epoch) {
   // mo: relaxed — epoch staleness filter only; a stale match that slips
   // through (owner re-armed concurrently) just delivers a spurious timeout
   // token, which ParkEither's caller tolerates by re-checking the deadline.
-  if (spot.epoch.load(std::memory_order_relaxed) != epoch) {
+  if (epoch_.load(std::memory_order_relaxed) != epoch) {
     return false;
   }
   // mo: release — [wheel-tick] release endpoint: the ticker publishes the
   // timeout token; the owner's token-consuming acquire RMW in ParkEither
   // pairs with it.
-  spot.state.fetch_or(kTimeoutToken, std::memory_order_release);
-  WakeAll(spot);
+  state_.fetch_or(kTimeoutToken, std::memory_order_release);
+  WakeAll();
   return true;
 }
 
-void ParkingLot::ConsumeToken(ParkSpot& spot) {
+void ParkSpot::TakeWake() {
+  // Clear a stale timeout token along with the wake token: the timed wait it
+  // belonged to is over (or lost the race to a committed claim), and leaving
+  // it behind would corrupt the next ParkEither.
+  // mo: acquire — [park-handoff] acquire endpoint: consuming the wake token
+  // pairs with Post's release fetch_or, so everything the waker did before
+  // posting is visible here.
+  state_.fetch_and(~(kWakeToken | kTimeoutToken), std::memory_order_acquire);
+}
+
+void ParkSpot::ConsumeToken() {
   for (;;) {
     // mo: acquire — [park-handoff] peek before deciding to consume or sleep;
-    // the consuming RMW below is the edge's real acquire endpoint.
-    std::uint32_t s = spot.state.load(std::memory_order_acquire);
+    // the consuming RMW in TakeWake is the edge's real acquire endpoint.
+    std::uint32_t s = state_.load(std::memory_order_acquire);
     if ((s & kWakeToken) != 0u) {
-      // Clear a stale timeout token along with the wake token: the timed
-      // wait it belonged to is over, and leaving it behind would corrupt
-      // the next ParkEither.
-      // mo: acquire — [park-handoff] acquire endpoint: consuming the wake
-      // token pairs with Post's release fetch_or, so everything the waker
-      // did before posting is visible here.
-      spot.state.fetch_and(~(kWakeToken | kTimeoutToken),
-                           std::memory_order_acquire);
+      TakeWake();
       return;
     }
-    WaitOn(spot, kWakeToken, s);
+    Wait(s);
   }
 }
 
-bool ParkingLot::ParkEither(ParkSpot& spot) {
+bool ParkSpot::ParkEither() {
   for (;;) {
     // mo: acquire — [park-handoff] peek before deciding to consume or sleep;
-    // the consuming RMWs below are the edges' real acquire endpoints.
-    std::uint32_t s = spot.state.load(std::memory_order_acquire);
+    // the consuming RMWs are the edges' real acquire endpoints.
+    std::uint32_t s = state_.load(std::memory_order_acquire);
     if ((s & kWakeToken) != 0u) {
       // Wake beats a racing timeout: the claim protocol committed a wakeup
-      // for this sleep, so the timeout token (if any) is stale — clear both.
-      // mo: acquire — [park-handoff] acquire endpoint (see ConsumeToken).
-      spot.state.fetch_and(~(kWakeToken | kTimeoutToken),
-                           std::memory_order_acquire);
+      // for this sleep, so the timeout token (if any) is stale.
+      TakeWake();
       return true;
     }
     if ((s & kTimeoutToken) != 0u) {
@@ -202,56 +108,52 @@ bool ParkingLot::ParkEither(ParkSpot& spot) {
       // token pairs with PostTimeout's release fetch_or. Only the timeout
       // bit is cleared — a wake token that lands after this read must
       // survive for the caller's timeout/wakeup drain.
-      spot.state.fetch_and(~kTimeoutToken, std::memory_order_acquire);
+      state_.fetch_and(~kTimeoutToken, std::memory_order_acquire);
       return false;
     }
-    WaitOn(spot, kWakeToken | kTimeoutToken, s);
+    Wait(s);
   }
 }
 
-bool ParkingLot::ParkUntil(ParkSpot& spot,
-                           std::chrono::steady_clock::time_point deadline) {
+bool ParkSpot::ParkUntil(std::chrono::steady_clock::time_point deadline) {
   for (;;) {
     // mo: acquire — [park-handoff] peek before deciding to consume or sleep;
-    // the consuming RMW below is the edge's real acquire endpoint.
-    std::uint32_t s = spot.state.load(std::memory_order_acquire);
+    // the consuming RMW is the edge's real acquire endpoint.
+    std::uint32_t s = state_.load(std::memory_order_acquire);
     if ((s & kWakeToken) != 0u) {
-      // mo: acquire — [park-handoff] acquire endpoint (see ConsumeToken).
-      spot.state.fetch_and(~(kWakeToken | kTimeoutToken),
-                           std::memory_order_acquire);
+      TakeWake();
       return true;
     }
     if (std::chrono::steady_clock::now() >= deadline) {
-      // At the deadline, still grab a token that raced in — same edge
-      // semantics as Semaphore::WaitUntil's final TryWait, so the caller's
+      // At the deadline, still grab a token that raced in, so the caller's
       // timeout/wakeup drain behaves identically on both timed paths.
       // mo: acquire — [park-handoff] acquire endpoint for the raced-in
       // token; pairs with Post's release fetch_or.
-      std::uint32_t prev = spot.state.fetch_and(
-          ~(kWakeToken | kTimeoutToken), std::memory_order_acquire);
+      std::uint32_t prev = state_.fetch_and(~(kWakeToken | kTimeoutToken),
+                                            std::memory_order_acquire);
       return (prev & kWakeToken) != 0u;
     }
-    WaitOnUntil(spot, kWakeToken, s, deadline);
+    WaitUntil(s, deadline);
   }
 }
 
-std::uint64_t ParkingLot::ArmTimed(ParkSpot& spot) {
+std::uint64_t ParkSpot::ArmTimed() {
   // mo: relaxed — epoch bump is a staleness filter read relaxed by
-  // PostTimeout; delivery correctness never depends on its ordering (a
-  // stale fire that slips through is dropped by the deadline re-check).
-  std::uint64_t e = spot.epoch.fetch_add(1, std::memory_order_relaxed) + 1;
+  // PostTimeout; delivery correctness never depends on its ordering (a stale
+  // fire that slips through is dropped by the deadline re-check).
+  std::uint64_t e = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   // mo: relaxed — owner-only cleanup of a stale timeout token from a prior
-  // timed wait; producers only ever OR bits in, so no token can be lost,
-  // and the owner is the sole reader of the cleared state.
-  spot.state.fetch_and(~kTimeoutToken, std::memory_order_relaxed);
+  // timed wait; producers only ever OR bits in, so no token can be lost, and
+  // the owner is the sole reader of the cleared state.
+  state_.fetch_and(~kTimeoutToken, std::memory_order_relaxed);
   return e;
 }
 
-void ParkingLot::Reset(ParkSpot& spot) {
+void ParkSpot::Reset() {
   // mo: relaxed — tid recycling: the registration lock orders this store
   // against both the previous owner's last use and the next owner's first;
   // no concurrent producer can hold a claim on a parked-out descriptor.
-  spot.state.store(0, std::memory_order_relaxed);
+  state_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace tcs

@@ -1,23 +1,22 @@
-// Pooled parking: the process-level sleep/wake primitive behind Deschedule.
+// Futex parking: the process-level sleep/wake primitive behind Deschedule.
 //
 // The paper parks each descheduled thread on a private POSIX semaphore. That
 // is one kernel object (plus one sem_t cache line) per waiter — invisible at
 // the paper's four threads, dominant at the capacity tier's 10^5–10^6 parked
-// waiters. A ParkingLot replaces the per-slot semaphore with a per-slot
-// *word*: each waiter owns a ParkSpot (two words embedded in its TxDesc), and
-// the lot blocks/wakes threads on that word through a shared facility —
-// futex(2) on Linux, where the kernel needs no per-waiter object at all, or a
-// small hashed pool of mutex+condvar buckets keyed by spot address elsewhere.
-// Per-waiter kernel cost drops to ~0 and memory-per-waiter becomes a bounded,
-// measurable number (see TmSystem::SnapshotMetrics "condsync").
+// waiters. A ParkSpot replaces the per-slot semaphore with a per-slot *word*:
+// each waiter owns one (two words embedded in its TxDesc), and blocks/wakes on
+// that word through futex(2), where the kernel needs no per-waiter object at
+// all. Per-waiter kernel cost drops to ~0 and memory-per-waiter becomes a
+// bounded, measurable number (see TmSystem::SnapshotMetrics "condsync").
+// Linux only: parking_lot.cc stops a build on any other platform.
 //
 // Token protocol. A spot's state word carries two token bits:
 //
-//   kWakeToken    — posted by a claiming waker (ParkingLot::Post), exactly
-//                   once per committed claim (the transactional asleep 1→0
-//                   admits one waker per sleep; deschedule.cc).
+//   kWakeToken    — posted by a claiming waker (Post), exactly once per
+//                   committed claim (the transactional asleep 1→0 admits one
+//                   waker per sleep; deschedule.cc).
 //   kTimeoutToken — posted by the TimerWheel when a timed wait's deadline
-//                   tick fires (ParkingLot::PostTimeout).
+//                   tick fires (PostTimeout).
 //
 // The spot's owner is the only consumer. ConsumeToken blocks until the wake
 // token is present; ParkEither blocks until either token is present and
@@ -32,102 +31,79 @@
 // the [park-handoff] edge (glossary in wake_index.h) — so everything the
 // claiming waker did before posting (the committed claim, the wake-post
 // stamp) is visible to the woken waiter. PostTimeout's release/acquire pair
-// is the [wheel-tick] edge. The blocking facility underneath (futex or the
-// bucket mutex) only adds sleep/wake; it carries no data on its own, which is
-// what lets both backends share one protocol with zero seq_cst.
+// is the [wheel-tick] edge. The futex underneath only adds sleep/wake; it
+// carries no data on its own, so the protocol needs zero seq_cst.
 #ifndef TCS_COMMON_PARKING_LOT_H_
 #define TCS_COMMON_PARKING_LOT_H_
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 
 namespace tcs {
 
 // One waiter's parking place: a token word plus the timed-wait epoch. Embed
 // one per thread (TxDesc::park); the owning thread is the only consumer, the
 // claiming waker and the timer wheel are the only producers.
-struct ParkSpot {
-  std::atomic<std::uint32_t> state{0};
-  // Timed-wait generation, bumped by ArmTimed before each timed sleep; a
-  // TimerWheel entry fires only if its captured epoch still matches
-  // (lazy cancellation — see PostTimeout).
-  std::atomic<std::uint64_t> epoch{0};
-};
-
-class ParkingLot {
+class ParkSpot {
  public:
   static constexpr std::uint32_t kWakeToken = 1u << 0;
   static constexpr std::uint32_t kTimeoutToken = 1u << 1;
-
-  // Backend selection (TmConfig::park_backend uses the same numbering):
-  // kAuto picks futex where available (Linux), else the mutex+condvar pool.
-  enum class Backend : int { kAuto = 0, kFutex = 1, kPool = 2 };
-
-  explicit ParkingLot(Backend backend = Backend::kAuto);
-  // Out of line: ~unique_ptr<Bucket[]> needs the complete Bucket type.
-  ~ParkingLot();
-
-  ParkingLot(const ParkingLot&) = delete;
-  ParkingLot& operator=(const ParkingLot&) = delete;
-
-  // Process-wide lot for standalone users with no owning TmSystem (the
-  // Retry-Orig registry constructed directly by unit tests).
-  static ParkingLot& Default();
-
-  // True when futex backs this lot (bench reporting; pool otherwise).
-  bool UsesFutex() const { return use_futex_; }
 
   // Producer side. Post delivers the wake token (exactly once per committed
   // claim — the caller's protocol, not ours). PostTimeout delivers the
   // timeout token iff `epoch` still matches the spot's current epoch; returns
   // false when the fire was stale (the wait it belonged to already ended).
-  void Post(ParkSpot& spot);
-  bool PostTimeout(ParkSpot& spot, std::uint64_t epoch);
+  void Post();
+  bool PostTimeout(std::uint64_t epoch);
 
-  // Consumer side (spot owner only). ConsumeToken blocks until the wake token
-  // is present and clears it (a stale timeout token is cleared with it — the
+  // Consumer side (owner only). ConsumeToken blocks until the wake token is
+  // present and clears it (a stale timeout token is cleared with it — the
   // timed wait it belonged to is over). ParkEither blocks until either token
   // is present: true = wake token consumed, false = timeout token consumed.
-  void ConsumeToken(ParkSpot& spot);
-  bool ParkEither(ParkSpot& spot);
+  void ConsumeToken();
+  bool ParkEither();
 
   // Wheel-less timed park (TmConfig::timer_wheel = false ablation): blocks
-  // until the wake token or `deadline`. Mirrors Semaphore::WaitUntil's edge
-  // semantics — at the deadline a token that already raced in is still
-  // consumed (returns true), so the caller's timeout/wakeup drain sees the
-  // same outcomes on both timed paths.
-  bool ParkUntil(ParkSpot& spot,
-                 std::chrono::steady_clock::time_point deadline);
+  // until the wake token or `deadline`. At the deadline a token that already
+  // raced in is still consumed (returns true), so the caller's
+  // timeout/wakeup drain sees the same outcomes on both timed paths.
+  bool ParkUntil(std::chrono::steady_clock::time_point deadline);
 
   // Arms a timed wait: bumps the epoch (invalidating every wheel entry
   // scheduled for earlier waits on this spot) and clears any stale timeout
   // token. Returns the new epoch to schedule the wheel entry under. Owner
   // only, before parking.
-  std::uint64_t ArmTimed(ParkSpot& spot);
+  std::uint64_t ArmTimed();
 
   // Clears both tokens (descriptor recycling: a fresh thread adopting a tid
   // must not inherit its predecessor's consumed-slot state). The caller
   // orders this against all prior use of the spot (registration lock).
-  void Reset(ParkSpot& spot);
+  void Reset();
+
+  // Token bits posted and not yet consumed (tests and diagnostics).
+  std::uint32_t PendingTokens() const {
+    // mo: relaxed — diagnostic snapshot; orders nothing and is never used to
+    // decide whether to park.
+    return state_.load(std::memory_order_relaxed);
+  }
 
  private:
-  struct Bucket;
+  // Consumes a present wake token, clearing any timeout token with it.
+  void TakeWake();
+  // Blocks until the state word leaves `observed` (may also return early —
+  // callers loop). `observed` is the value the caller just read with none of
+  // the wanted bits set.
+  void Wait(std::uint32_t observed);
+  // Timed variant; also returns once `deadline` has passed.
+  void WaitUntil(std::uint32_t observed,
+                 std::chrono::steady_clock::time_point deadline);
+  void WakeAll();
 
-  // Blocks until `spot.state & wanted` is nonzero (may also return early —
-  // callers loop). `observed` is the state value the caller just read with
-  // none of the wanted bits set.
-  void WaitOn(ParkSpot& spot, std::uint32_t wanted, std::uint32_t observed);
-  // Timed variant; returns once a wanted bit is set or the deadline passed.
-  void WaitOnUntil(ParkSpot& spot, std::uint32_t wanted, std::uint32_t observed,
-                   std::chrono::steady_clock::time_point deadline);
-  void WakeAll(ParkSpot& spot);
-  Bucket& BucketOf(const ParkSpot& spot);
-
-  bool use_futex_;
-  // Hashed mutex+condvar buckets, allocated only for the pool backend.
-  std::unique_ptr<Bucket[]> buckets_;
+  std::atomic<std::uint32_t> state_{0};
+  // Timed-wait generation, bumped by ArmTimed before each timed sleep; a
+  // TimerWheel entry fires only if its captured epoch still matches.
+  std::atomic<std::uint64_t> epoch_{0};
 };
 
 }  // namespace tcs

@@ -4,9 +4,8 @@
 
 namespace tcs {
 
-TimerWheel::TimerWheel(ParkingLot* lot, std::uint64_t tick_ns)
-    : lot_(lot),
-      tick_ns_(tick_ns == 0 ? 1 : tick_ns),
+TimerWheel::TimerWheel(std::uint64_t tick_ns)
+    : tick_ns_(tick_ns == 0 ? 1 : tick_ns),
       origin_(std::chrono::steady_clock::now()) {}
 
 TimerWheel::~TimerWheel() {
@@ -53,10 +52,7 @@ void TimerWheel::Place(Entry e) {
 
 void TimerWheel::FireSlot(std::vector<Entry>& slot) {
   for (Entry& e : slot) {
-    // PostTimeout takes the lot's bucket mutex in the pool backend, which is
-    // distinct from mu_ and never taken with mu_ held elsewhere, so holding
-    // mu_ across the post cannot deadlock.
-    if (lot_->PostTimeout(*e.spot, e.epoch)) {
+    if (e.spot->PostTimeout(e.epoch)) {
       stats_.fired++;
       auto now = std::chrono::steady_clock::now();
       auto deadline =

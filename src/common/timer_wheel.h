@@ -1,14 +1,14 @@
 // Hierarchical timer wheel for timed waits at the capacity tier.
 //
 // The paper's timed waits (RetryFor / AwaitFor / WaitPredFor) each burned a
-// private Semaphore::WaitUntil: N concurrent timed waits are N independent
+// private semaphore timed wait: N concurrent timed waits are N independent
 // kernel timeouts, N wakeups per deadline storm, and N timer-queue entries
 // the kernel must sort. At 10^5+ timed waiters that is the dominant cost of
 // the wait path. The wheel collapses them to O(1) amortized per tick with
 // ONE dedicated ticker thread: DescheduleImpl registers (spot, epoch,
 // deadline) and parks on the spot; the ticker advances a classic
 // hashed-hierarchical wheel (Varghese & Lauck) and posts a timeout token —
-// ParkingLot::PostTimeout, the [wheel-tick] edge — to every entry whose slot
+// ParkSpot::PostTimeout, the [wheel-tick] edge — to every entry whose slot
 // comes due.
 //
 // Layout: level 0 is 256 ticks of `tick_ns` each; levels 1 and 2 are 64
@@ -19,7 +19,7 @@
 // scheduling lag, reported as max_lag_ns) but never early, so a fired waiter
 // observing `now < deadline` can only mean a stale epoch, not an early fire.
 //
-// Cancellation is lazy (epoch-based, see ParkingLot::ArmTimed): a wait that
+// Cancellation is lazy (epoch-based, see ParkSpot::ArmTimed): a wait that
 // ends by wakeup simply abandons its wheel entry; the entry fires later,
 // PostTimeout sees the stale epoch and drops it (counted in Stats::stale).
 // No search-and-delete, so Schedule is O(1) under one mutex.
@@ -53,15 +53,16 @@ class TimerWheel {
     std::uint64_t max_lag_ns = 0;  // worst observed fire-past-deadline lag
   };
 
-  // `lot` must outlive the wheel. tick_ns is the level-0 granularity; timed
-  // waits shorter than one tick still take at least one tick to fire.
-  TimerWheel(ParkingLot* lot, std::uint64_t tick_ns);
+  // tick_ns is the level-0 granularity; timed waits shorter than one tick
+  // still take at least one tick to fire. Every scheduled spot must outlive
+  // the wheel.
+  explicit TimerWheel(std::uint64_t tick_ns);
   ~TimerWheel();
 
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  // Registers a timeout for `spot` under `epoch` (from ParkingLot::ArmTimed).
+  // Registers a timeout for `spot` under `epoch` (from ParkSpot::ArmTimed).
   // The ticker thread is spawned lazily on first use.
   void Schedule(ParkSpot* spot, std::uint64_t epoch,
                 std::chrono::steady_clock::time_point deadline);
@@ -87,7 +88,6 @@ class TimerWheel {
   std::uint64_t TickOf(std::chrono::steady_clock::time_point tp) const;
   void TickerMain();
 
-  ParkingLot* const lot_;
   const std::uint64_t tick_ns_;
   const std::chrono::steady_clock::time_point origin_;
 

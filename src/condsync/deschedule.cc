@@ -136,9 +136,9 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
       // ArmTimed bumps the epoch, which retires the stale registration.
       if (wheel_ != nullptr) {
         for (;;) {
-          std::uint64_t epoch = lot_.ArmTimed(d.park);
+          std::uint64_t epoch = d.park.ArmTimed();
           wheel_->Schedule(&d.park, epoch, d.active_deadline);
-          acquired = lot_.ParkEither(d.park);
+          acquired = d.park.ParkEither();
           if (acquired || std::chrono::steady_clock::now() >= d.active_deadline) {
             break;
           }
@@ -146,10 +146,10 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
       } else {
         // Wheel disabled: one absolute-deadline timer per sleeper, the
         // pre-capacity-tier behavior.
-        acquired = lot_.ParkUntil(d.park, d.active_deadline);
+        acquired = d.park.ParkUntil(d.active_deadline);
       }
     } else {
-      lot_.ConsumeToken(d.park);
+      d.park.ConsumeToken();
     }
     quiesce_.MarkRunning(d.tid);
     if (cfg_.latency_metrics) {
@@ -212,7 +212,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
         Write(&slot.asleep, 0);
       });
       if (claimed_by_waker) {
-        lot_.ConsumeToken(d.park);
+        d.park.ConsumeToken();
       }
     }
   }
@@ -237,7 +237,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
 // findChanges candidate with a single orec CAS and no transaction at all
 // (TryCasWakeClaim below), and (3) evaluates predicates and claims slots for
 // the leftover candidates in batches of up to the effective batch size inside
-// ONE wake transaction each, posting every claimed semaphore strictly after
+// ONE wake transaction each, posting every claimed wake token strictly after
 // its claim is durable. With adaptive_wake_batch the effective batch size
 // shrinks while the recent wake-transaction abort rate (EWMA in TxDesc) is
 // high, degrading toward the paper's per-candidate baseline under contention
@@ -433,7 +433,7 @@ TmSystem::CasClaimResult TmSystem::TryCasWakeClaim(TxDesc& d, int waiter_tid) {
   if (cfg_.latency_metrics) {
     slot.StampWakePost(ObsNowNs());
   }
-  lot_.Post(*slot.park);
+  slot.park->Post();
   d.stats.Bump(Counter::kWakeups);
   return CasClaimResult::kClaimed;
 }
@@ -621,7 +621,7 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
       TCS_TRACE_EVENT(d, TraceEvent::kWakeBatch, claims.size());
     }
     for (const TxDesc::WakeClaim& c : claims) {
-      // The semaphore post is an escape action, so it happens strictly after
+      // The wake-token post is an escape action, so it happens strictly after
       // the wake transaction commits (Algorithm 4, line 9).
       TCS_PROTO(proto_->OnWakePost(c.tid));
       WaiterSlot& claimed = waiters_->slot(c.tid);
@@ -631,7 +631,7 @@ void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
         // writer won the transactional asleep 1→0 claim for this sleep.
         claimed.StampWakePost(ObsNowNs());
       }
-      lot_.Post(*claimed.park);
+      claimed.park->Post();
       d.stats.Bump(Counter::kWakeups);
       if (c.vacuous) {
         // A vacuous (empty-waitset) wake is no evidence anyone was satisfied;

@@ -6,9 +6,8 @@
 
 namespace tcs {
 
-RetryOrigRegistry::RetryOrigRegistry(int max_threads, ParkingLot* lot)
-    : lot_(lot != nullptr ? lot : &ParkingLot::Default()),
-      max_threads_(max_threads) {
+RetryOrigRegistry::RetryOrigRegistry(int max_threads)
+    : max_threads_(max_threads) {
   TCS_CHECK(max_threads > 0);
 }
 
@@ -45,7 +44,7 @@ void RetryOrigRegistry::WaitForOverlap(TxDesc& d,
       // mo: acquire — [orec-publish], and a [retry-dekker] rider: the waiter's
       // seq_cst fence above orders this load after the count raise, so either
       // it sees the writer's orec release or the writer's count peek sees us
-      // and its OnWriterCommit posts our semaphore.
+      // and its OnWriterCommit posts our wake token.
       std::uint64_t w = o->word.load(std::memory_order_acquire);
       if (!Orec::IsLocked(w) && Orec::Version(w) <= start) {
         continue;
@@ -74,7 +73,7 @@ void RetryOrigRegistry::WaitForOverlap(TxDesc& d,
   }
   if (slept) {
     d.stats.Bump(Counter::kSleeps);
-    lot_->ConsumeToken(d.park);
+    d.park.ConsumeToken();
     SpinLockGuard g(lock_);
     // Re-fetch: another waiter's first registration may have grown entries_
     // while we slept, invalidating any reference held across the unlock.
@@ -103,7 +102,7 @@ void RetryOrigRegistry::OnWriterCommit(const std::vector<const Orec*>& write_ore
     for (const Orec* o : e.reads) {
       if (writes.count(o) != 0) {
         e.sleeping = false;
-        lot_->Post(*e.spot);
+        e.spot->Post();
         break;
       }
     }
@@ -115,7 +114,7 @@ void RetryOrigRegistry::WakeAllSleepers() {
   for (Entry& e : entries_) {
     if (e.sleeping) {
       e.sleeping = false;
-      lot_->Post(*e.spot);
+      e.spot->Post();
     }
   }
 }

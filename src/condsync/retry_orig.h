@@ -52,9 +52,8 @@ class RetryOrigRegistry {
  public:
   // `max_threads` only bounds tids; the per-tid entry table grows lazily under
   // the waiting lock, so a 64Ki-thread ceiling costs nothing up front. Sleepers
-  // park on their descriptor's ParkSpot through `lot` (the owning domain's
-  // ParkingLot; standalone/test instances fall back to the process default).
-  explicit RetryOrigRegistry(int max_threads, ParkingLot* lot = nullptr);
+  // park on their descriptor's ParkSpot.
+  explicit RetryOrigRegistry(int max_threads);
 
   RetryOrigRegistry(const RetryOrigRegistry&) = delete;
   RetryOrigRegistry& operator=(const RetryOrigRegistry&) = delete;
@@ -107,7 +106,6 @@ class RetryOrigRegistry {
   // re-fetched after every lock reacquisition.
   Entry& EntryOf(int tid);
 
-  ParkingLot* lot_;
   int max_threads_;
   SpinLock lock_;  // Algorithm 1's global `waiting` lock
   std::vector<Entry> entries_;  // grown lazily under lock_

@@ -80,7 +80,7 @@ void TmCondVar::Wait(TmSystem& sys) {
     // Counted after the commit so aborted attempts don't inflate it.
     d.stats.Bump(Counter::kCondVarRingGrowths);
   }
-  sys.parking().ConsumeToken(d.park);
+  d.park.ConsumeToken();
   d.skip_backoff = true;
   d.woke_from_sleep = true;
   throw TxRestart{};

@@ -57,7 +57,7 @@ class TmCondVar {
   void Grow(TmSystem& sys, TmWord h, TmWord t, TmWord cap);
 
   // Pops up to `max` waiting tids inside ONE internal transaction, appending
-  // them to `out`; returns the number popped. Semaphore posts are the caller's
+  // them to `out`; returns the number popped. Wake-token posts are the caller's
   // job, strictly after this commits.
   std::size_t PopBatch(TmSystem& sys, std::size_t max, std::vector<int>& out);
 

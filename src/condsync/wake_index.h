@@ -265,21 +265,21 @@ struct Orec;
 //                  index is published at most once per structure.
 //
 //  [park-handoff]  (minimal: release/acquire)
-//                  ParkingLot wake-token delivery: a claiming waker posts the
-//                  token with a release fetch_or (ParkingLot::Post) strictly
+//                  ParkSpot wake-token delivery: a claiming waker posts the
+//                  token with a release fetch_or (ParkSpot::Post) strictly
 //                  after the claim transaction commits and the wake-post
 //                  stamp is written; the spot's owner consumes it with an
 //                  acquire RMW (ConsumeToken/ParkEither/ParkUntil). The pair
 //                  makes the committed claim and the stamp visible to the
 //                  woken waiter — the same contract the retired per-slot
 //                  semaphore's internal post/wait pair used to provide. The
-//                  futex/condvar machinery underneath only adds sleep/wake
-//                  and carries no data ordering of its own.
+//                  futex underneath only adds sleep/wake and carries no data
+//                  ordering of its own.
 //
 //  [wheel-tick]    (minimal: release/acquire)
 //                  TimerWheel timeout-token delivery: the ticker posts the
 //                  timeout token with a release fetch_or
-//                  (ParkingLot::PostTimeout) and the timed waiter consumes it
+//                  (ParkSpot::PostTimeout) and the timed waiter consumes it
 //                  with an acquire RMW (ParkEither). Stale and spurious fires
 //                  are benign by construction: the epoch filter drops most,
 //                  and a waiter woken with `now < deadline` re-arms and

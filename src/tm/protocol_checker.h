@@ -5,7 +5,7 @@
 // Neither can see a *protocol* violation — a sequence of individually-racy-free
 // steps that breaks a cross-thread contract, like an orec released at the wrong
 // version (torn transactional state: a concurrent reader's double-check may
-// accept a speculative value) or a wake-path semaphore posted twice or before
+// accept a speculative value) or a wake token posted twice or before
 // its claiming transaction committed (a double or lost wakeup). The checker
 // maintains shadow state beside the real structures and verifies, at every hook
 // point, that the observed transition is one the protocol allows:
@@ -138,7 +138,7 @@ class ProtocolChecker {
   // contract as OnWakeClaimCommitted: exactly one post must follow.
   void OnWakeClaimCas(int waiter_tid);
   // Called by the waker immediately before posting the claimed waiter's wake
-  // token (ParkingLot::Post).
+  // token (ParkSpot::Post).
   void OnWakePost(int waiter_tid);
 
   // --- segment publication balance (segmented registry / wake index) ---

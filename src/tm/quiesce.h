@@ -21,7 +21,7 @@
 // wait, so each segment also keeps one *parked* bit per slot, and the scan
 // visits only slots whose bit is clear. DescheduleImpl sets the bit
 // (MarkParked) after the registration transaction's SetInactive, just before
-// the thread's ParkingLot wait, and clears it (MarkRunning) when the wait
+// the thread's ParkSpot wait, and clears it (MarkRunning) when the wait
 // returns, before the thread's next SetActive. A parked thread is therefore
 // never mid-transaction. The clear is the parked leg of [quiesce-dekker]:
 // the committer reads the bitmap with a seq_cst load after its seq_cst clock

@@ -32,10 +32,6 @@ struct TmConfig {
   int max_threads = 65536;
 
   // ---- Capacity-tier knobs ----
-  // ParkingLot backend (ParkingLot::Backend numbering): 0 auto (futex on
-  // Linux, else the mutex+condvar pool), 1 futex, 2 pool. The pool fallback
-  // is also the portable reference implementation for tests.
-  int park_backend = 0;
   // Route timed waits (RetryFor/AwaitFor/WaitPredFor deadlines) through the
   // shared hierarchical TimerWheel: N concurrent timed waits cost one ticker
   // thread and O(1) per tick instead of N independent kernel timeouts. Off,

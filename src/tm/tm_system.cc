@@ -71,16 +71,15 @@ TmSystem::TmSystem(const TmConfig& config)
       quiesce_(config.max_threads),
       // mo: relaxed — uid allocation only needs uniqueness (atomicity), not
       // ordering; no other data is published through this counter.
-      uid_(g_system_uid.fetch_add(1, std::memory_order_relaxed)),
-      lot_(static_cast<ParkingLot::Backend>(config.park_backend)) {
+      uid_(g_system_uid.fetch_add(1, std::memory_order_relaxed)) {
   descs_.resize(static_cast<std::size_t>(cfg_.max_threads));
   waiters_ = std::make_unique<WaiterRegistry>(cfg_.max_threads);
-  retry_orig_ = std::make_unique<RetryOrigRegistry>(cfg_.max_threads, &lot_);
+  retry_orig_ = std::make_unique<RetryOrigRegistry>(cfg_.max_threads);
   wake_index_ =
       std::make_unique<WakeIndex>(cfg_.max_threads, cfg_.wake_index_shards);
   if (cfg_.timer_wheel) {
     wheel_ = std::make_unique<TimerWheel>(
-        &lot_, static_cast<std::uint64_t>(cfg_.timer_wheel_tick_us) * 1000);
+        static_cast<std::uint64_t>(cfg_.timer_wheel_tick_us) * 1000);
   }
 #if TCS_PROTOCOL_CHECKS
   proto_ = std::make_unique<ProtocolChecker>(orecs_, cfg_.max_threads);
@@ -120,7 +119,7 @@ TxDesc& TmSystem::RegisterThread() {
     TxDesc& d = *descs_[static_cast<std::size_t>(tid)];
     // Clear any stale wake/timeout token left by a racing waker (or a late
     // wheel fire) after the previous owner of this slot had already woken.
-    lot_.Reset(d.park);
+    d.park.Reset();
     return d;
   }
   TCS_CHECK_MSG(next_tid_ < cfg_.max_threads, "too many threads for this TM domain");

@@ -175,7 +175,7 @@ class TmSystem {
   // empty (or targeting is disabled) the pass degrades to the paper's global
   // scan over every registered waiter. Candidates are wake-checked in batched
   // internal transactions of up to TmConfig::wake_batch_size, with claimed
-  // semaphores posted strictly after each batch commits (see deschedule.cc
+  // wake tokens posted strictly after each batch commits (see deschedule.cc
   // for the batched claim/post protocol).
   void WakeWaiters(const std::vector<const Orec*>& write_orecs);
 
@@ -186,14 +186,11 @@ class TmSystem {
   // wake-index shard or fingerprint bits an address maps to.
   OrecTable& orecs() { return orecs_; }
 
-  // The domain's parking lot: every waiter parks on its descriptor's ParkSpot
-  // through this lot (futex-backed on Linux; see src/common/parking_lot.h).
-  ParkingLot& parking() { return lot_; }
   // Parking spot of a registered thread (used by TMCondVar signalers and the
   // wake paths in deschedule.cc).
   ParkSpot& SpotOf(int tid);
-  // Posts `tid`'s wake token (ParkingLot::Post on its spot).
-  void PostParked(int tid) { lot_.Post(SpotOf(tid)); }
+  // Posts `tid`'s wake token (ParkSpot::Post on its spot).
+  void PostParked(int tid) { SpotOf(tid).Post(); }
 
   // --- dynamic protocol checker (TCS_PROTOCOL_CHECKS builds) ---
   // Violations detected so far on this domain; always 0 when the checker is
@@ -411,13 +408,11 @@ class TmSystem {
   std::unique_ptr<RetryOrigRegistry> retry_orig_;
   std::unique_ptr<WakeIndex> wake_index_;
 
-  // Pooled parking for every waiter in the domain. Declared before the wheel
-  // (and after descs_) so destruction runs wheel → lot → descriptors: the
-  // ticker thread stops while the spots it posts into are still alive.
-  ParkingLot lot_;
   // Hierarchical timer wheel for timed waits; null when cfg_.timer_wheel is
   // off (timed waits then park with an absolute deadline, one timer per
-  // sleeper, exactly the pre-capacity-tier behavior).
+  // sleeper, exactly the pre-capacity-tier behavior). Declared after descs_
+  // so it is destroyed first: the ticker thread stops while the ParkSpots it
+  // posts into are still alive.
   std::unique_ptr<TimerWheel> wheel_;
 };
 

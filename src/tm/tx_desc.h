@@ -101,7 +101,7 @@ struct TxDesc {
   // --- condition synchronization (Algorithms 4-7) ---
   WaitSet waitset;
   bool retry_logging = false;  // the paper's is_retry: log ⟨addr,value⟩ on every read
-  ParkSpot park;               // per-thread parking place (ParkingLot tokens)
+  ParkSpot park;               // per-thread futex parking place
   bool woke_from_sleep = false;
 
   // --- OrElse / timed-wait state ---

@@ -1,6 +1,6 @@
 // Capacity-tier tests: 10^4 parked waiters per backend against the segmented
-// registry/index + pooled parking, the max_threads ceiling's loud death, the
-// mutex+condvar parking-pool fallback, and timed-wait churn through (and
+// registry/index + futex parking, the ParkSpot token protocol's edge cases,
+// the max_threads ceiling's loud death, and timed-wait churn through (and
 // without) the shared TimerWheel.
 #include <gtest/gtest.h>
 
@@ -105,11 +105,10 @@ class SmallStackThreads {
 // waiters and counts their acks (any shortfall is a lost wakeup), then
 // releases and joins everyone (the definitive no-lost-wakeup check for the
 // release broadcast).
-void RunManyWaitersPoint(Backend backend, int waiters, int park_backend) {
+void RunManyWaitersPoint(Backend backend, int waiters) {
   TmConfig cfg;
   cfg.backend = backend;
   cfg.max_threads = waiters + 16;
-  cfg.park_backend = park_backend;
   Runtime rt(cfg);
 
   auto cells = std::make_unique<PaddedCell[]>(static_cast<std::size_t>(waiters));
@@ -183,29 +182,75 @@ void RunManyWaitersPoint(Backend backend, int waiters, int park_backend) {
 }
 
 TEST(CapacityTest, ManyWaitersEager) {
-  RunManyWaitersPoint(Backend::kEagerStm, kManyWaiters, /*park_backend=*/0);
+  RunManyWaitersPoint(Backend::kEagerStm, kManyWaiters);
 }
 
 TEST(CapacityTest, ManyWaitersLazy) {
-  RunManyWaitersPoint(Backend::kLazyStm, kManyWaiters, /*park_backend=*/0);
+  RunManyWaitersPoint(Backend::kLazyStm, kManyWaiters);
 }
 
 TEST(CapacityTest, ManyWaitersHtm) {
-  RunManyWaitersPoint(Backend::kSimHtm, kManyWaiters, /*park_backend=*/0);
+  RunManyWaitersPoint(Backend::kSimHtm, kManyWaiters);
 }
 
-// The portable mutex+condvar parking pool must pass the same protocol the
-// futex backend does (it is the only backend off-Linux).
-TEST(CapacityTest, ManyWaitersPoolParking) {
-  RunManyWaitersPoint(Backend::kEagerStm, std::min(kManyWaiters, 2048),
-                      /*park_backend=*/2);
+// ParkSpot token protocol, one thread, no runtime: the edges the full-runtime
+// churn tests reach only by chance.
+constexpr std::uint32_t kBothTokens =
+    ParkSpot::kWakeToken | ParkSpot::kTimeoutToken;
+
+// A claimed wakeup must win over a timeout that fired for the same sleep, and
+// consuming it retires the stale timeout token too.
+TEST(ParkSpotTest, WakeTokenBeatsTimeoutTokenInParkEither) {
+  ParkSpot spot;
+  EXPECT_TRUE(spot.PostTimeout(spot.ArmTimed()));
+  spot.Post();
+  EXPECT_EQ(spot.PendingTokens(), kBothTokens);
+  EXPECT_TRUE(spot.ParkEither());
+  EXPECT_EQ(spot.PendingTokens(), 0u);
 }
 
-TEST(CapacityTest, PoolBackendReportsNoFutex) {
-  TmConfig cfg;
-  cfg.park_backend = 2;
-  Runtime rt(cfg);
-  EXPECT_FALSE(rt.sys().parking().UsesFutex());
+// At (or past) the deadline ParkUntil still takes a wake token that is
+// already in, and reports a plain timeout when none is.
+TEST(ParkSpotTest, ParkUntilConsumesWakeTokenAtDeadline) {
+  ParkSpot spot;
+  const auto past = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  spot.Post();
+  EXPECT_TRUE(spot.ParkUntil(past));
+  EXPECT_EQ(spot.PendingTokens(), 0u);
+  EXPECT_FALSE(spot.ParkUntil(past));
+}
+
+// A wheel fire for an earlier timed wait of this spot is dropped.
+TEST(ParkSpotTest, PostTimeoutWithStaleEpochPostsNothing) {
+  ParkSpot spot;
+  const std::uint64_t stale = spot.ArmTimed();
+  const std::uint64_t current = spot.ArmTimed();
+  EXPECT_FALSE(spot.PostTimeout(stale));
+  EXPECT_EQ(spot.PendingTokens(), 0u);
+  EXPECT_TRUE(spot.PostTimeout(current));
+  EXPECT_EQ(spot.PendingTokens(), ParkSpot::kTimeoutToken);
+  EXPECT_FALSE(spot.ParkEither());
+  EXPECT_EQ(spot.PendingTokens(), 0u);
+}
+
+// An untimed wait ends a timed wait's life: a timeout token left over from it
+// must not survive to satisfy the next ParkEither.
+TEST(ParkSpotTest, ConsumeTokenClearsLeftoverTimeoutToken) {
+  ParkSpot spot;
+  EXPECT_TRUE(spot.PostTimeout(spot.ArmTimed()));
+  spot.Post();
+  spot.ConsumeToken();
+  EXPECT_EQ(spot.PendingTokens(), 0u);
+}
+
+// Descriptor recycling: a new owner starts with no tokens at all.
+TEST(ParkSpotTest, ResetClearsBothTokens) {
+  ParkSpot spot;
+  EXPECT_TRUE(spot.PostTimeout(spot.ArmTimed()));
+  spot.Post();
+  EXPECT_EQ(spot.PendingTokens(), kBothTokens);
+  spot.Reset();
+  EXPECT_EQ(spot.PendingTokens(), 0u);
 }
 
 // Segment directories grow by appending 256-tid blocks as tids are touched;

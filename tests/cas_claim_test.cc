@@ -89,12 +89,14 @@ TEST_P(CasClaimTest, DisjointWaitersClaimWithoutWakeTransactions) {
     }
     AwaitCounter(rt, Counter::kSleeps, n_waiters);
     rt.ResetStats();
+    // Release one waiter at a time and let it finish before the next store: a
+    // woken waiter that re-executes in sim-HTM serial mode would otherwise
+    // race the next claim, and that claim then correctly falls back to a
+    // wake batch.
     for (int t = 0; t < n_waiters; ++t) {
       Atomically(rt.sys(),
                  [&](Tx& tx) { tx.Store(cells[t].v, std::uint64_t{1}); });
-    }
-    for (auto& w : waiters) {
-      w.join();
+      waiters[static_cast<std::size_t>(t)].join();
     }
     TxStats s = rt.AggregateStats();
     EXPECT_EQ(s.Get(Counter::kCasWakeClaims),

@@ -12,9 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <semaphore>
 #include <thread>
 
-#include "src/common/semaphore.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 
@@ -40,8 +40,8 @@ TEST_P(ValidationExtensionTest, SalvagesReadAfterUnrelatedCommit) {
   Runtime rt(ExtConfig(GetParam()));
   TVar<std::uint64_t> x(1);
   TVar<std::uint64_t> y(2);
-  Semaphore reader_paused;
-  Semaphore writer_done;
+  std::binary_semaphore reader_paused{0};
+  std::binary_semaphore writer_done{0};
 
   std::thread reader([&] {
     bool paused = false;
@@ -49,8 +49,8 @@ TEST_P(ValidationExtensionTest, SalvagesReadAfterUnrelatedCommit) {
       std::uint64_t a = tx.Load(x);
       if (!paused) {
         paused = true;
-        reader_paused.Post();
-        writer_done.Wait();  // let a writer commit mid-transaction
+        reader_paused.release();
+        writer_done.acquire();  // let a writer commit mid-transaction
       }
       std::uint64_t b = tx.Load(y);
       return std::make_pair(a, b);
@@ -58,9 +58,9 @@ TEST_P(ValidationExtensionTest, SalvagesReadAfterUnrelatedCommit) {
     EXPECT_EQ(pair.first, 1u);
     EXPECT_EQ(pair.second, 20u);
   });
-  reader_paused.Wait();
+  reader_paused.acquire();
   Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  writer_done.Post();
+  writer_done.release();
   reader.join();
 
   TxStats s = rt.AggregateStats();
@@ -77,8 +77,8 @@ TEST_P(ValidationExtensionTest, ConflictingCommitStillAborts) {
   Runtime rt(ExtConfig(GetParam()));
   TVar<std::uint64_t> x(1);
   TVar<std::uint64_t> y(2);
-  Semaphore reader_paused;
-  Semaphore writer_done;
+  std::binary_semaphore reader_paused{0};
+  std::binary_semaphore writer_done{0};
 
   std::thread reader([&] {
     bool paused = false;
@@ -87,19 +87,19 @@ TEST_P(ValidationExtensionTest, ConflictingCommitStillAborts) {
       (void)a;
       if (!paused) {
         paused = true;
-        reader_paused.Post();
-        writer_done.Wait();
+        reader_paused.release();
+        writer_done.acquire();
       }
       (void)tx.Load(y);
       EXPECT_EQ(tx.Load(x), 10u);  // only a post-abort attempt gets here
     });
   });
-  reader_paused.Wait();
+  reader_paused.acquire();
   Atomically(rt.sys(), [&](Tx& tx) {
     tx.Store(x, std::uint64_t{10});
     tx.Store(y, std::uint64_t{20});
   });
-  writer_done.Post();
+  writer_done.release();
   reader.join();
 
   TxStats s = rt.AggregateStats();
@@ -127,23 +127,23 @@ INSTANTIATE_TEST_SUITE_P(StmBackends, ValidationExtensionTest,
 void RunPausedLazyWriter(Runtime& rt, TVar<std::uint64_t>& x,
                          TVar<std::uint64_t>& y,
                          const std::function<void()>& interleaved) {
-  Semaphore writer_paused;
-  Semaphore other_done;
+  std::binary_semaphore writer_paused{0};
+  std::binary_semaphore other_done{0};
   std::thread writer([&] {
     bool paused = false;
     Atomically(rt.sys(), [&](Tx& tx) {
       std::uint64_t a = tx.Load(x);
       if (!paused) {
         paused = true;
-        writer_paused.Post();
-        other_done.Wait();  // let another writer commit mid-transaction
+        writer_paused.release();
+        other_done.acquire();  // let another writer commit mid-transaction
       }
       tx.Store(y, a + 10);  // buffered; orec acquired at commit
     });
   });
-  writer_paused.Wait();
+  writer_paused.acquire();
   interleaved();
-  other_done.Post();
+  other_done.release();
   writer.join();
 }
 
@@ -216,23 +216,23 @@ TEST(CommitValidationExtensionTest, DisabledExtensionStillAbortsOutright) {
 void RunPausedEagerWriter(Runtime& rt, TVar<std::uint64_t>& x,
                           TVar<std::uint64_t>& y,
                           const std::function<void()>& interleaved) {
-  Semaphore writer_paused;
-  Semaphore other_done;
+  std::binary_semaphore writer_paused{0};
+  std::binary_semaphore other_done{0};
   std::thread writer([&] {
     bool paused = false;
     Atomically(rt.sys(), [&](Tx& tx) {
       std::uint64_t a = tx.Load(x);
       if (!paused) {
         paused = true;
-        writer_paused.Post();
-        other_done.Wait();  // let another writer commit mid-transaction
+        writer_paused.release();
+        other_done.acquire();  // let another writer commit mid-transaction
       }
       tx.Store(y, a + 10);  // in place; orec acquired right here
     });
   });
-  writer_paused.Wait();
+  writer_paused.acquire();
   interleaved();
-  other_done.Post();
+  other_done.release();
   writer.join();
 }
 
@@ -372,23 +372,23 @@ TEST(SharedExtensionPathTest, BothCallSitesHitTheSharedPath) {
   });
 
   // Site 2: validation-failure extension.
-  Semaphore reader_paused;
-  Semaphore writer_done;
+  std::binary_semaphore reader_paused{0};
+  std::binary_semaphore writer_done{0};
   std::thread reader([&] {
     bool paused = false;
     Atomically(rt.sys(), [&](Tx& tx) {
       (void)tx.Load(x);
       if (!paused) {
         paused = true;
-        reader_paused.Post();
-        writer_done.Wait();
+        reader_paused.release();
+        writer_done.acquire();
       }
       (void)tx.Load(y);
     });
   });
-  reader_paused.Wait();
+  reader_paused.acquire();
   Atomically(rt.sys(), [&](Tx& tx) { tx.Store(y, std::uint64_t{20}); });
-  writer_done.Post();
+  writer_done.release();
   reader.join();
 
   TxStats s = rt.AggregateStats();

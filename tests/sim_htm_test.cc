@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <semaphore>
 #include <thread>
 #include <vector>
 
-#include "src/common/semaphore.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 #include "src/tm/sim_htm.h"
@@ -182,23 +182,23 @@ TEST(SimHtmTest, OverlappingWriterConflictAbortsDeterministically) {
   cfg.privatization_safety = false;
   Runtime rt(cfg);
   std::uint64_t hot = 0;
-  Semaphore reader_paused;
-  Semaphore writer_done;
+  std::binary_semaphore reader_paused{0};
+  std::binary_semaphore writer_done{0};
   std::thread t1([&] {
     bool paused = false;
     Atomically(rt.sys(), [&](Tx& tx) {
       std::uint64_t v = tx.Load(hot);
       if (!paused) {
         paused = true;
-        reader_paused.Post();
-        writer_done.Wait();
+        reader_paused.release();
+        writer_done.acquire();
       }
       tx.Store(hot, v + 1);
     });
   });
-  reader_paused.Wait();
+  reader_paused.acquire();
   Atomically(rt.sys(), [&](Tx& tx) { tx.Store(hot, tx.Load(hot) + 10); });
-  writer_done.Post();
+  writer_done.release();
   t1.join();
   EXPECT_EQ(hot, 11u);  // 10 from the interloper, then +1 on the clean retry
   EXPECT_GE(rt.AggregateStats().Get(Counter::kHtmConflictAborts), 1u);

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <semaphore>
 #include <thread>
 #include <vector>
 
 #include "src/common/backoff.h"
 #include "src/common/random.h"
-#include "src/common/semaphore.h"
 #include "src/common/spin_lock.h"
 #include "src/tm/orec_table.h"
 #include "src/tm/quiesce.h"
@@ -194,12 +194,12 @@ TEST(QuiesceTest, InactiveThreadsDoNotBlock) {
 TEST(QuiesceTest, ActiveOldReaderBlocksUntilDone) {
   QuiesceTable q(2);
   q.SetActive(1, 5);
-  Semaphore started;
+  std::binary_semaphore started{0};
   std::thread waiter([&] {
-    started.Post();
+    started.release();
     q.WaitForReadersBefore(10, 0);
   });
-  started.Wait();
+  started.acquire();
   q.SetInactive(1);
   waiter.join();
 }
@@ -209,29 +209,6 @@ TEST(QuiesceTest, NewerReaderDoesNotBlock) {
   q.SetActive(1, 50);
   q.WaitForReadersBefore(10, 0);  // 50 >= 10: no wait
   q.SetInactive(1);
-}
-
-TEST(SemaphoreTest, PostBeforeWaitDoesNotBlock) {
-  Semaphore s;
-  s.Post();
-  s.Wait();
-}
-
-TEST(SemaphoreTest, TryWaitReflectsCount) {
-  Semaphore s;
-  EXPECT_FALSE(s.TryWait());
-  s.Post();
-  EXPECT_TRUE(s.TryWait());
-  EXPECT_FALSE(s.TryWait());
-}
-
-TEST(SemaphoreTest, CountsMultiplePosts) {
-  Semaphore s;
-  s.Post();
-  s.Post();
-  s.Wait();
-  s.Wait();
-  EXPECT_FALSE(s.TryWait());
 }
 
 TEST(SpinLockTest, MutualExclusionUnderContention) {
