@@ -429,13 +429,98 @@ void EmitWakeBatchingVerify(JsonWriter& w, const std::vector<Backend>& backends,
   w.EndArray();
 }
 
+// The spin_then_park row of wake_policy: a capacity-1 Retry ping-pong, 2
+// producers and 2 consumers, where nearly every item would cross a park and
+// unpark without the pre-park spin (deschedule.cc). Per backend: ops/s
+// median/min/max over `trials`, sleeps per op, the spin's wakeups and misses,
+// items lost or duplicated (checksum), and a no-lost-wakeup verification. CI
+// checks that the spin fired and nothing was lost; it bounds no timing.
+void EmitSpinThenPark(JsonWriter& w, const std::vector<Backend>& backends,
+                      std::uint64_t items, int trials) {
+  constexpr int kSide = 2;
+  const std::uint64_t per_side = items / kSide;
+  const std::uint64_t n = per_side * kSide;  // items per trial
+  for (Backend b : backends) {
+    std::vector<double> ops_per_s;
+    std::uint64_t sleeps = 0;
+    std::uint64_t spin_wakeups = 0;
+    std::uint64_t spin_misses = 0;
+    std::uint64_t bad_checksums = 0;
+    for (int t = 0; t < trials; ++t) {
+      TmConfig cfg;
+      cfg.backend = b;
+      cfg.max_threads = 16;
+      Runtime rt(cfg);
+      BoundedBuffer buf(&rt, Mechanism::kRetry, 1);
+      std::uint64_t sums[kSide] = {};
+      const double t0 = NowSec();
+      std::vector<std::thread> threads;
+      for (int p = 0; p < kSide; ++p) {
+        threads.emplace_back([&, p] {
+          for (std::uint64_t i = 1; i <= per_side; ++i) {
+            buf.Produce(static_cast<std::uint64_t>(p) * per_side + i);
+          }
+        });
+      }
+      for (int c = 0; c < kSide; ++c) {
+        threads.emplace_back([&, c] {
+          for (std::uint64_t i = 0; i < per_side; ++i) {
+            sums[c] += buf.Consume();
+          }
+        });
+      }
+      for (auto& th : threads) {
+        th.join();
+      }
+      ops_per_s.push_back(static_cast<double>(n) / (NowSec() - t0));
+      bad_checksums += sums[0] + sums[1] != n * (n + 1) / 2 ? 1 : 0;
+      TxStats st = rt.AggregateStats();
+      sleeps += st.Get(Counter::kSleeps);
+      spin_wakeups += st.Get(Counter::kSpinWakeups);
+      spin_misses += st.Get(Counter::kSpinMisses);
+    }
+    std::sort(ops_per_s.begin(), ops_per_s.end());
+    const WakeVerifyResult v = VerifyNoLostWakeups(
+        b, TmConfig{}.wake_batch_size, /*cas=*/true, /*adaptive=*/true,
+        kVerifyWaiters, kVerifyDeadline);
+    const double ops = static_cast<double>(n) * trials;
+    w.BeginObject();
+    w.Key("backend").String(BackendName(b));
+    w.Key("policy").String("spin_then_park");
+    w.Key("producers").Int(kSide);
+    w.Key("consumers").Int(kSide);
+    w.Key("capacity").Int(1);
+    w.Key("ops").U64(n);
+    w.Key("trials").Int(trials);
+    w.Key("ops_per_s_median").Double(ops_per_s[ops_per_s.size() / 2]);
+    w.Key("ops_per_s_min").Double(ops_per_s.front());
+    w.Key("ops_per_s_max").Double(ops_per_s.back());
+    w.Key("sleeps_per_op").Double(static_cast<double>(sleeps) / ops);
+    w.Key("spin_wakeups").U64(spin_wakeups);
+    w.Key("spin_misses").U64(spin_misses);
+    w.Key("bad_checksums").U64(bad_checksums);
+    EmitVerifyFields(w, v);
+    w.EndObject();
+    std::printf("wake_policy policy=spin_then_park backend=%-10s "
+                "ops/s median=%.0f [%.0f, %.0f] sleeps/op=%.4f "
+                "spin_wakeups=%llu spin_misses=%llu\n",
+                BackendName(b), ops_per_s[ops_per_s.size() / 2],
+                ops_per_s.front(), ops_per_s.back(),
+                static_cast<double>(sleeps) / ops,
+                static_cast<unsigned long long>(spin_wakeups),
+                static_cast<unsigned long long>(spin_misses));
+  }
+}
+
 // Wake policy (§2.4.1): the paper diagnoses the pathological p1-cN shape —
 // "after the production, 4 consumers are woken. They all contend for the
 // same element, one succeeds, three fail, and then the failed threads go
 // back to sleep". TmConfig::wake_single stops the waiter scan at the first
 // satisfied waiter, emulating pthread-style signal. One producer moves `ops`
-// elements to four Retry consumers through a capacity-4 buffer.
-void EmitWakePolicy(JsonWriter& w, std::uint64_t ops) {
+// elements to four Retry consumers through a capacity-4 buffer. The array
+// ends with the spin_then_park rows (EmitSpinThenPark).
+void EmitWakePolicy(JsonWriter& w, const std::vector<Backend>& backends,
+                    std::uint64_t ops) {
   constexpr int kConsumers = 4;
   const std::uint64_t per_consumer = ops / kConsumers;
   w.Key("wake_policy").BeginArray();
@@ -478,6 +563,7 @@ void EmitWakePolicy(JsonWriter& w, std::uint64_t ops) {
                 static_cast<unsigned long long>(st.Get(Counter::kWakeups)),
                 static_cast<unsigned long long>(st.Get(Counter::kFalseWakeups)));
   }
+  EmitSpinThenPark(w, backends, 4 * ops, /*trials=*/3);
   w.EndArray();
 }
 
@@ -952,7 +1038,7 @@ int Run(int argc, char** argv) {
     EmitParsec(w, backends, parsec);
   }
   if (wanted("wake_policy")) {
-    EmitWakePolicy(w, quick ? 1 << 11 : 1 << 13);
+    EmitWakePolicy(w, backends, quick ? 1 << 11 : 1 << 13);
   }
   if (wanted("wakeup_precision")) {
     EmitWakeupPrecision(w, quick ? 500 : 2000);

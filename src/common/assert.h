@@ -11,7 +11,7 @@
 //    checks in eager_stm.cc / lazy_stm.cc / sim_htm.cc PartialRollback.
 //
 //  * TCS_DCHECK / TCS_DCHECK_MSG — debug-only, allowed on per-access fast
-//    paths (transactional Read/Write entry, sub-word splicing). Compiled away
+//    paths (transactional Read/Write entry, raw word access). Compiled away
 //    unless one of the following enables it:
 //      - !NDEBUG             (Debug / RelWithDebInfo-without-NDEBUG builds)
 //      - TCS_FORCE_DCHECKS   (opt-in for release-mode soak runs)

@@ -52,6 +52,8 @@ constexpr std::string_view kCounterNames[] = {
     "condvar_batches",
     "condvar_ring_growths",
     "wake_fingerprint_skips",
+    "spin_wakeups",
+    "spin_misses",
 };
 static_assert(std::size(kCounterNames) ==
                   static_cast<std::size_t>(Counter::kNumCounters),

@@ -70,6 +70,9 @@ enum class Counter : int {
                         // (the pre-fix code silently overwrote a parked tid)
   kWakeFingerprintSkips,  // shard-aliased wake candidates dropped by the
                           // waitset fingerprint before any claim or check
+  kSpinWakeups,  // pre-park spins that saw a waitset orec change and
+                 // restarted without registering (deschedule.cc)
+  kSpinMisses,   // pre-park spins that ran out their budget and registered
   kNumCounters,
 };
 

@@ -14,10 +14,10 @@
 //    stored in word-aligned cells the library owns, no size restriction. This
 //    is the only surface the library, the sync adapters, the mini-PARSEC apps,
 //    the benchmarks, and the examples use.
-//  * raw Load/Store on plain lvalues — the original word-granularity shim.
-//    Compiled out unless TCS_ENABLE_RAW_TX_SHIM is defined, which only the
-//    word-granularity TM tests do (they probe orec mapping and sub-word
-//    splicing directly). Application code cannot regress onto it: the library
+//  * raw Load/Store on plain, word-sized lvalues — the original
+//    word-granularity shim. Compiled out unless TCS_ENABLE_RAW_TX_SHIM is
+//    defined, which only the word-granularity TM tests do (they probe orec
+//    mapping directly). Application code cannot regress onto it: the library
 //    itself builds without the define.
 //
 // Composition:
@@ -70,50 +70,25 @@ class Tx {
 
 #if defined(TCS_ENABLE_RAW_TX_SHIM)
   // --- transactional data access: raw lvalues (test-only shim) ---
-  // T must be trivially copyable, at most word-sized, and must not straddle an
-  // aligned 8-byte boundary. Sub-word accesses are spliced into the containing
-  // word, which is how word-granular STMs handle them. TVar<T> lifts all three
-  // restrictions and is the only surface available without the define.
+  // T must be trivially copyable, exactly word-sized and word-aligned: the
+  // shim accesses the whole word at &src, so a smaller T would read and write
+  // back bytes it does not own. TVar<T> lifts both restrictions and is the
+  // only surface available without the define.
   template <typename T>
     requires(!kIsTVar<T>)
   T Load(const T& src) const {
-    CheckType<T>();
-    auto a = reinterpret_cast<std::uintptr_t>(&src);
-    if constexpr (sizeof(T) == sizeof(TmWord)) {
-      TCS_DCHECK(a % sizeof(TmWord) == 0);
-      TmWord w = sys_.Read(reinterpret_cast<const TmWord*>(a));
-      T out;
-      std::memcpy(&out, &w, sizeof(T));
-      return out;
-    } else {
-      std::uintptr_t base = a & ~(sizeof(TmWord) - 1);
-      std::size_t off = a - base;
-      TCS_DCHECK(off + sizeof(T) <= sizeof(TmWord));
-      TmWord w = sys_.Read(reinterpret_cast<const TmWord*>(base));
-      T out;
-      std::memcpy(&out, reinterpret_cast<const char*>(&w) + off, sizeof(T));
-      return out;
-    }
+    TmWord w = sys_.Read(WordAddrOf(src));
+    T out;
+    std::memcpy(&out, &w, sizeof(T));
+    return out;
   }
 
   template <typename T>
     requires(!kIsTVar<T>)
   void Store(T& dst, T val) const {
-    CheckType<T>();
-    auto a = reinterpret_cast<std::uintptr_t>(&dst);
-    if constexpr (sizeof(T) == sizeof(TmWord)) {
-      TCS_DCHECK(a % sizeof(TmWord) == 0);
-      TmWord w;
-      std::memcpy(&w, &val, sizeof(T));
-      sys_.Write(reinterpret_cast<TmWord*>(a), w);
-    } else {
-      std::uintptr_t base = a & ~(sizeof(TmWord) - 1);
-      std::size_t off = a - base;
-      TCS_DCHECK(off + sizeof(T) <= sizeof(TmWord));
-      TmWord w = sys_.Read(reinterpret_cast<TmWord*>(base));
-      std::memcpy(reinterpret_cast<char*>(&w) + off, &val, sizeof(T));
-      sys_.Write(reinterpret_cast<TmWord*>(base), w);
-    }
+    TmWord w;
+    std::memcpy(&w, &val, sizeof(T));
+    sys_.Write(const_cast<TmWord*>(WordAddrOf(dst)), w);
   }
 #endif  // TCS_ENABLE_RAW_TX_SHIM
 
@@ -286,18 +261,14 @@ class Tx {
 
 #if defined(TCS_ENABLE_RAW_TX_SHIM)
   template <typename T>
-  static constexpr void CheckType() {
-    static_assert(std::is_trivially_copyable_v<T>, "transactional data must be POD");
-    static_assert(sizeof(T) <= sizeof(TmWord),
-                  "word-granularity raw access: sizeof(T) <= 8 — use TVar<T> "
-                  "for larger types");
-  }
-
-  template <typename T>
   static const TmWord* WordAddrOf(const T& var) {
-    CheckType<T>();
+    static_assert(std::is_trivially_copyable_v<T>, "transactional data must be POD");
+    static_assert(sizeof(T) == sizeof(TmWord),
+                  "raw access covers exactly one word — use TVar<T> for "
+                  "smaller or larger types");
     auto a = reinterpret_cast<std::uintptr_t>(&var);
-    return reinterpret_cast<const TmWord*>(a & ~(sizeof(TmWord) - 1));
+    TCS_DCHECK(a % sizeof(TmWord) == 0);
+    return reinterpret_cast<const TmWord*>(a);
   }
 #endif  // TCS_ENABLE_RAW_TX_SHIM
 

@@ -933,6 +933,9 @@ void TmSystem::SnapshotMetrics(JsonWriter& w, std::size_t top_n_orecs) const {
       .U64(static_cast<std::uint64_t>(snap.wake_index_segments));
   w.Key("registered_waiters")
       .U64(static_cast<std::uint64_t>(snap.registered_waiters));
+  // Pre-park spin outcomes (deschedule.cc), beside the sleeps they replace.
+  w.Key("spin_wakeups").U64(snap.stats.Get(Counter::kSpinWakeups));
+  w.Key("spin_misses").U64(snap.stats.Get(Counter::kSpinMisses));
   w.EndObject();
   w.Key("timer_wheel").BeginObject();
   w.Key("enabled").Bool(snap.wheel_enabled);

@@ -103,6 +103,11 @@ struct TxDesc {
   bool retry_logging = false;  // the paper's is_retry: log ⟨addr,value⟩ on every read
   ParkSpot park;               // per-thread futex parking place
   bool woke_from_sleep = false;
+  // Whether the next untimed findChanges wait spins on its waitset orecs
+  // before registering (DescheduleImpl). Set when an untimed park ended in a
+  // wakeup shortly after it began, or when a spin saw a change; cleared when
+  // a spin runs out its budget.
+  bool spin_before_park = false;
 
   // --- OrElse / timed-wait state ---
   // Number of OrElse alternatives the current attempt still has available; a

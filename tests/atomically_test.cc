@@ -121,15 +121,15 @@ TEST(AtomicallyTest, ConstLoadFromSharedState) {
 TEST(AtomicallyTest, EnumAndSignedFields) {
   enum class Color : std::uint32_t { kRed = 1, kBlue = 2 };
   Runtime rt((TmConfig()));
-  alignas(8) Color c = Color::kRed;
-  alignas(8) std::int64_t s = -5;
+  TVar<Color> c(Color::kRed);
+  std::int64_t s = -5;
   Atomically(rt.sys(), [&](Tx& tx) {
     tx.Store(c, Color::kBlue);
     tx.Store(s, std::int64_t{-6});
     EXPECT_EQ(tx.Load(c), Color::kBlue);
     EXPECT_EQ(tx.Load(s), -6);
   });
-  EXPECT_EQ(c, Color::kBlue);
+  EXPECT_EQ(c.UnsafeRead(), Color::kBlue);
   EXPECT_EQ(s, -6);
 }
 

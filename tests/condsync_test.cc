@@ -8,13 +8,19 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
+#include <semaphore>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "src/common/json_writer.h"
 #include "src/condsync/tm_condvar.h"
 #include "src/condsync/waiter_registry.h"
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
 #include "src/core/tvar.h"
+#include "src/sync/bounded_buffer.h"
+#include "tests/matrix.h"
 
 // mo-edge: [harness] (minimal: release/acquire) — test/bench harness
 // coordination: flags and counters published by worker threads and
@@ -985,6 +991,334 @@ TEST(SimHtmCondSyncTest, NonWaitingTransactionsStayInHardwareMode) {
   TxStats s = rt.AggregateStats();
   EXPECT_EQ(s.Get(Counter::kHtmFallbacks), 0u);
   EXPECT_EQ(s.Get(Counter::kWakeChecks), 0u);
+}
+
+// Adaptive pre-park spin (deschedule.cc): an untimed findChanges wait of a
+// thread whose recent waits were short polls its waitset orecs before it
+// registers. Every test first primes the waiter, so no assertion depends on
+// how long one particular park took.
+
+std::uint64_t OwnCount(Runtime& rt, Counter c) {
+  return rt.sys().Desc().stats.Get(c);
+}
+
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+// Sanitizer builds can slow every futex round trip past the re-arm bound.
+// What the spin tests check is what a primed thread does, so there priming
+// falls back to arming the flag itself; the normal build checks that short
+// waits arm it.
+constexpr bool kArmIfPrimingFails = true;
+#else
+constexpr bool kArmIfPrimingFails = false;
+#endif
+
+// Runs on the waiter thread: short waits on `tick`, each answered by a
+// responder thread as soon as the waiter is seen asleep, until one park is
+// short enough to arm the spin. Returns whether it armed.
+bool PrimeSpin(Runtime& rt, TVar<std::uint64_t>& tick) {
+  std::atomic<bool> stop{false};
+  // Sampled before the first wait, so the responder cannot miss its sleep.
+  const std::uint64_t sleeps = rt.AggregateStats().Get(Counter::kSleeps);
+  std::thread responder([&, seen = sleeps]() mutable {
+    // mo: acquire — [harness] observe the waiter's stop request.
+    while (!stop.load(std::memory_order_acquire)) {
+      const std::uint64_t now = rt.AggregateStats().Get(Counter::kSleeps);
+      if (now == seen) {
+        std::this_thread::yield();
+        continue;
+      }
+      seen = now;
+      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(tick, tx.Load(tick) + 1); });
+    }
+  });
+  TxDesc& d = rt.sys().Desc();
+  for (int i = 0; i < 500 && !d.spin_before_park; ++i) {
+    const std::uint64_t t =
+        Atomically(rt.sys(), [&](Tx& tx) { return tx.Load(tick); });
+    Atomically(rt.sys(), [&](Tx& tx) {
+      if (tx.Load(tick) == t) {
+        tx.Retry();
+      }
+    });
+  }
+  // mo: release — [harness] publish the stop request to the responder.
+  stop.store(true, std::memory_order_release);
+  responder.join();
+  if (kArmIfPrimingFails) {
+    d.spin_before_park = true;
+  }
+  return d.spin_before_park;
+}
+
+// Waits (Retry) until `x` differs from `old`.
+void WaitForChange(Runtime& rt, TVar<std::uint64_t>& x, std::uint64_t old) {
+  Atomically(rt.sys(), [&](Tx& tx) {
+    if (tx.Load(x) == old) {
+      tx.Retry();
+    }
+  });
+}
+
+class SpinPolicyTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  SpinPolicyTest() : rt_(MatrixConfig(GetParam())) {}
+
+  std::uint64_t Own(Counter c) { return OwnCount(rt_, c); }
+  bool Prime() { return PrimeSpin(rt_, tick_); }
+
+  Runtime rt_;
+  TVar<std::uint64_t> tick_{0};
+};
+
+// A writer commits after the waiter's logging read and before its Retry: the
+// spin sees the new orec version at once, and the waiter restarts without
+// indexing itself or sleeping. On sim-HTM the logging pass runs serially and
+// excludes every hardware commit, so the writer queues behind the serial
+// token and commits right after the waiter's rollback releases it; a few
+// rounds absorb a writer descheduled past the spin budget.
+TEST_P(SpinPolicyTest, CommitBeforeRetryRestartsWithoutRegistering) {
+  // The writer commits while the waiter is still inside its transaction;
+  // commit-time quiescence would wait for that transaction to end.
+  TmConfig cfg = MatrixConfig(GetParam());
+  cfg.privatization_safety = false;
+  Runtime rt(cfg);
+  auto own = [&](Counter c) { return OwnCount(rt, c); };
+  const bool sim_htm = GetParam() == Backend::kSimHtm;
+  const int rounds = sim_htm ? 20 : 1;
+  int spin_rounds = 0;
+  for (int r = 0; r < rounds && spin_rounds == 0; ++r) {
+    TVar<std::uint64_t> x(0);
+    std::binary_semaphore logged{0};
+    std::binary_semaphore committed{0};
+    std::thread waiter([&] {
+      EXPECT_TRUE(PrimeSpin(rt, tick_));
+      const std::uint64_t spins = own(Counter::kSpinWakeups);
+      const std::uint64_t sleeps = own(Counter::kSleeps);
+      const std::uint64_t indexed = own(Counter::kIndexedDeschedules);
+      const std::uint64_t waits = rt.sys().Desc().obs.wait_duration.Count();
+      bool paused = false;
+      Atomically(rt.sys(), [&](Tx& tx) {
+        if (tx.Load(x) == 0) {
+          if (rt.sys().Desc().retry_logging && !paused) {
+            paused = true;
+            logged.release();
+            if (sim_htm) {
+              // Let the writer reach the serial-token wait.
+              std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            } else {
+              committed.acquire();
+            }
+          }
+          tx.Retry();
+        }
+      });
+      if (own(Counter::kSpinWakeups) == spins + 1) {
+        ++spin_rounds;
+        EXPECT_EQ(own(Counter::kSleeps), sleeps);
+        EXPECT_EQ(own(Counter::kIndexedDeschedules), indexed);
+        // A spin-satisfied wait is still a wait in the duration histogram.
+        EXPECT_EQ(rt.sys().Desc().obs.wait_duration.Count(), waits + 1);
+      } else {
+        EXPECT_TRUE(sim_htm) << "the spin missed a commit that preceded it";
+      }
+    });
+    logged.acquire();
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
+    committed.release();
+    waiter.join();
+  }
+  EXPECT_EQ(spin_rounds, 1);
+  JsonWriter w;
+  rt.sys().SnapshotMetrics(w);
+  const std::string doc = w.str();
+  const std::string condsync = doc.substr(doc.find("\"condsync\":"));
+  EXPECT_NE(condsync.find("\"spin_wakeups\":" +
+                          std::to_string(rt.AggregateStats().Get(
+                              Counter::kSpinWakeups))),
+            std::string::npos);
+  EXPECT_NE(condsync.find("\"spin_misses\":"), std::string::npos);
+}
+
+// Timed waits never spin, however short the thread's recent waits were.
+TEST_P(SpinPolicyTest, PrimedRetryForNeverSpins) {
+  TVar<std::uint64_t> x(0);
+  std::thread waiter([&] {
+    EXPECT_TRUE(Prime());
+    const std::uint64_t spins = Own(Counter::kSpinWakeups);
+    const std::uint64_t misses = Own(Counter::kSpinMisses);
+    const std::uint64_t timeouts = Own(Counter::kWaitTimeouts);
+    const bool got = Atomically(rt_.sys(), [&](Tx& tx) {
+      if (tx.Load(x) == 0) {
+        return tx.RetryFor(std::chrono::milliseconds(2)) !=
+               WaitResult::kTimedOut;
+      }
+      return true;
+    });
+    EXPECT_FALSE(got);
+    EXPECT_EQ(Own(Counter::kWaitTimeouts), timeouts + 1);
+    EXPECT_EQ(Own(Counter::kSpinWakeups), spins);
+    EXPECT_EQ(Own(Counter::kSpinMisses), misses);
+  });
+  waiter.join();
+}
+
+// A primed wait that outlasts the budget spins once, misses and parks. That
+// park lasts 5 ms, far past the re-arm bound, so the next wait parks at once.
+TEST_P(SpinPolicyTest, LongParkDisarmsTheSpin) {
+  TVar<std::uint64_t> x(0);
+  std::binary_semaphore primed{0};
+  std::binary_semaphore go{0};
+  std::binary_semaphore first_done{0};
+  std::thread waiter([&] {
+    EXPECT_TRUE(Prime());
+    primed.release();
+    go.acquire();
+    const std::uint64_t misses = Own(Counter::kSpinMisses);
+    WaitForChange(rt_, x, 0);
+    EXPECT_EQ(Own(Counter::kSpinMisses), misses + 1);
+    EXPECT_FALSE(rt_.sys().Desc().spin_before_park);
+    first_done.release();
+    const std::uint64_t spins = Own(Counter::kSpinWakeups);
+    WaitForChange(rt_, x, 1);
+    EXPECT_EQ(Own(Counter::kSpinMisses), misses + 1);
+    EXPECT_EQ(Own(Counter::kSpinWakeups), spins);
+  });
+  primed.acquire();
+  const std::uint64_t sleeps = rt_.AggregateStats().Get(Counter::kSleeps);
+  go.release();
+  AwaitCounter(rt_, Counter::kSleeps, sleeps + 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
+  first_done.acquire();
+  AwaitCounter(rt_, Counter::kSleeps, sleeps + 2);
+  Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{2}); });
+  waiter.join();
+}
+
+// Eager STM's rollback republishes each orec the attempt locked at a bumped
+// version. That is the waiter's own doing, not a change: were it taken for
+// one, a waiter that writes its waitset before Retry would restart forever.
+TEST_P(SpinPolicyTest, OwnRollbackIsNotAChange) {
+  TVar<std::uint64_t> x(0);
+  std::binary_semaphore primed{0};
+  std::binary_semaphore go{0};
+  std::thread waiter([&] {
+    EXPECT_TRUE(Prime());
+    primed.release();
+    go.acquire();
+    const std::uint64_t spins = Own(Counter::kSpinWakeups);
+    const std::uint64_t misses = Own(Counter::kSpinMisses);
+    Atomically(rt_.sys(), [&](Tx& tx) {
+      tx.Store(x, tx.Load(x));
+      if (tx.Load(x) == 0) {
+        tx.Retry();
+      }
+    });
+    EXPECT_EQ(Own(Counter::kSpinWakeups), spins);
+    EXPECT_EQ(Own(Counter::kSpinMisses), misses + 1);
+  });
+  primed.acquire();
+  const std::uint64_t sleeps = rt_.AggregateStats().Get(Counter::kSleeps);
+  go.release();
+  AwaitCounter(rt_, Counter::kSleeps, sleeps + 1);
+  Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
+  waiter.join();
+}
+
+// Capacity-1 ping-pong, 2 producers and 2 consumers: every item arrives
+// exactly once, whether its consumer caught it spinning or parked. On sim-HTM
+// a producer that waited commits its Put in serial mode, past every orec.
+TEST_P(SpinPolicyTest, PingPongDeliversEveryItem) {
+  constexpr int kSide = 2;
+  constexpr std::uint64_t kItems = 3000;  // per producer
+  BoundedBuffer buf(&rt_, Mechanism::kRetry, 1);
+  std::uint64_t sum[kSide] = {};
+  std::uint64_t count[kSide] = {};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kSide; ++p) {
+    threads.emplace_back([&, p] {
+      for (std::uint64_t i = 1; i <= kItems; ++i) {
+        buf.Produce(static_cast<std::uint64_t>(p) * kItems + i);
+      }
+    });
+  }
+  for (int c = 0; c < kSide; ++c) {
+    threads.emplace_back([&, c] {
+      for (std::uint64_t i = 0; i < kItems; ++i) {
+        sum[c] += buf.Consume();
+        ++count[c];
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const std::uint64_t n = kSide * kItems;
+  EXPECT_EQ(count[0] + count[1], n);
+  EXPECT_EQ(sum[0] + sum[1], n * (n + 1) / 2);
+  EXPECT_EQ(rt_.sys().waiters().RegisteredCount(), 0);
+  if (GetParam() == Backend::kSimHtm) {
+    EXPECT_GT(rt_.AggregateStats().Get(Counter::kHtmFallbacks), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, SpinPolicyTest,
+                         ::testing::Values(Backend::kEagerStm, Backend::kLazyStm,
+                                           Backend::kSimHtm),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           switch (info.param) {
+                             case Backend::kEagerStm:
+                               return "EagerStm";
+                             case Backend::kLazyStm:
+                               return "LazyStm";
+                             case Backend::kSimHtm:
+                               return "SimHtm";
+                           }
+                           return "Unknown";
+                         });
+
+// Sim-HTM serial-mode writers bypass orecs, so the spin cannot see their
+// commits: the wait has to complete through registration. The writer queues
+// behind the waiter's serial logging pass; its two-line write overflows the
+// one-line write capacity, so it commits serially while the waiter spins or
+// registers.
+TEST(SimHtmCondSyncTest, SerialWriterCompletesSpinningWaitThroughRegistration) {
+  TmConfig cfg = MatrixConfig(Backend::kSimHtm);
+  cfg.htm_write_capacity_lines = 1;
+  Runtime rt(cfg);
+  struct alignas(64) Line {
+    TVar<std::uint64_t> v{0};
+  };
+  Line tick, x, y;
+  std::binary_semaphore logged{0};
+  std::thread waiter([&] {
+    EXPECT_TRUE(PrimeSpin(rt, tick.v));
+    const std::uint64_t spins = OwnCount(rt, Counter::kSpinWakeups);
+    const std::uint64_t misses = OwnCount(rt, Counter::kSpinMisses);
+    const std::uint64_t indexed = OwnCount(rt, Counter::kIndexedDeschedules);
+    bool paused = false;
+    Atomically(rt.sys(), [&](Tx& tx) {
+      if (tx.Load(x.v) == 0) {
+        if (rt.sys().Desc().retry_logging && !paused) {
+          paused = true;
+          logged.release();
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        tx.Retry();
+      }
+    });
+    EXPECT_EQ(OwnCount(rt, Counter::kSpinWakeups), spins);
+    EXPECT_EQ(OwnCount(rt, Counter::kSpinMisses), misses + 1);
+    EXPECT_EQ(OwnCount(rt, Counter::kIndexedDeschedules), indexed + 1);
+  });
+  logged.acquire();
+  const std::uint64_t serial = rt.AggregateStats().Get(Counter::kHtmFallbacks);
+  Atomically(rt.sys(), [&](Tx& tx) {
+    tx.Store(x.v, std::uint64_t{1});
+    tx.Store(y.v, std::uint64_t{1});
+  });
+  waiter.join();
+  EXPECT_GT(rt.AggregateStats().Get(Counter::kHtmFallbacks), serial);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Single-threaded semantics of the three backends: visibility, rollback,
-// read-own-writes, sub-word access splicing, transactional allocation, flat
-// nesting, and return values. Parameterized over all backends (TEST_P).
+// read-own-writes, sub-word TVars, transactional allocation, flat nesting, and
+// return values. Parameterized over all backends (TEST_P).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "src/core/runtime.h"
 #include "src/core/transaction.h"
+#include "src/core/tvar.h"
 
 namespace tcs {
 namespace {
@@ -72,42 +73,42 @@ TEST_P(StmBasicTest, RestartRollsBackAllEffects) {
   EXPECT_EQ(y, 66u);
 }
 
-TEST_P(StmBasicTest, SubWordAccessesSplice) {
-  struct Packed {
-    std::uint8_t a;
-    std::uint8_t b;
-    std::uint16_t c;
-    std::uint32_t d;
-  };
-  alignas(8) Packed p{1, 2, 3, 4};
+TEST_P(StmBasicTest, SubWordTVarsKeepNeighbors) {
+  // Each sub-word TVar owns a whole word, so writing one never touches the
+  // bytes of another (the raw shim only takes whole words).
+  TVar<std::uint8_t> a(1);
+  TVar<std::uint8_t> b(2);
+  TVar<std::uint16_t> c(3);
+  TVar<std::uint32_t> d(4);
   Atomically(rt_.sys(), [&](Tx& tx) {
-    tx.Store(p.a, std::uint8_t{10});
-    tx.Store(p.c, std::uint16_t{30});
-    EXPECT_EQ(tx.Load(p.a), 10);
-    EXPECT_EQ(tx.Load(p.b), 2);
-    EXPECT_EQ(tx.Load(p.c), 30);
-    EXPECT_EQ(tx.Load(p.d), 4u);
+    tx.Store(a, std::uint8_t{10});
+    tx.Store(c, std::uint16_t{30});
+    EXPECT_EQ(tx.Load(a), 10);
+    EXPECT_EQ(tx.Load(b), 2);
+    EXPECT_EQ(tx.Load(c), 30);
+    EXPECT_EQ(tx.Load(d), 4u);
   });
-  EXPECT_EQ(p.a, 10);
-  EXPECT_EQ(p.b, 2);
-  EXPECT_EQ(p.c, 30);
-  EXPECT_EQ(p.d, 4u);
+  EXPECT_EQ(a.UnsafeRead(), 10);
+  EXPECT_EQ(b.UnsafeRead(), 2);
+  EXPECT_EQ(c.UnsafeRead(), 30);
+  EXPECT_EQ(d.UnsafeRead(), 4u);
 }
 
 TEST_P(StmBasicTest, BoolAndPointerFields) {
-  bool flag = false;
+  TVar<bool> flag(false);
   std::uint64_t target = 5;
   std::uint64_t* ptr = nullptr;
   Atomically(rt_.sys(), [&](Tx& tx) {
     tx.Store(flag, true);
     tx.Store(ptr, &target);
   });
-  EXPECT_TRUE(flag);
+  EXPECT_TRUE(flag.UnsafeRead());
   ASSERT_EQ(ptr, &target);
 }
 
 TEST_P(StmBasicTest, SubWordRollbackRestoresNeighbors) {
-  alignas(8) std::uint32_t pair[2] = {111, 222};
+  TVar<std::uint32_t> pair[2] = {TVar<std::uint32_t>(111),
+                                 TVar<std::uint32_t>(222)};
   bool restarted = false;
   Atomically(rt_.sys(), [&](Tx& tx) {
     tx.Store(pair[0], std::uint32_t{999});
@@ -116,8 +117,8 @@ TEST_P(StmBasicTest, SubWordRollbackRestoresNeighbors) {
       tx.RestartNow();
     }
   });
-  EXPECT_EQ(pair[0], 999u);
-  EXPECT_EQ(pair[1], 222u);
+  EXPECT_EQ(pair[0].UnsafeRead(), 999u);
+  EXPECT_EQ(pair[1].UnsafeRead(), 222u);
 }
 
 TEST_P(StmBasicTest, FlatNestingRunsInnerInline) {
