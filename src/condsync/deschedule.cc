@@ -13,15 +13,31 @@
 // no-lost-wakeup argument, and the comment on WakeWaiters below for why it
 // survives batching the wake checks into shared wake transactions.
 //
+// Where the wait runs. The body's Retry/Await/WaitPred call only rolls the
+// attempt back, records the wait in TxDesc::pending_wait and throws
+// TxRestart; the spin, registration and park below (RunPendingWait) run from
+// Atomically's restart loop (TmSystem::OnRestart), once the body's frames
+// and RAII guards are unwound. Every wait takes that one path. The reason is
+// the hand-off's critical path: each restart is a C++ throw, which costs
+// microseconds (a RestartNow loop on a 4-CPU VM: ~2.6 us per restart on one
+// thread, 5-10 us with four), and a spin that ran inside the body put that
+// throw between the writer's commit and the waiter's re-execution. Unwinding first moves it
+// into the time the thread waits anyway. A spin miss goes straight on to
+// registration and park from the same place, with no extra body execution.
+// Nothing the wait uses lives in the body's frames: findChanges waits point
+// at TxDesc::waitset, and WaitPred's WaitArgs are copied by value (no caller
+// passes a pointer into the body's own frame; allocations the arguments may
+// point into stay alive until after wakeup, §2.2.4).
+//
 // Spin before parking. When a wait lasts a few microseconds (a capacity-1
 // hand-off), registering, indexing, parking, the writer's wake claim and the
 // deregistration buy nothing. So an untimed findChanges wait (Retry, Await)
 // whose thread has recently seen short waits first polls the orec word of
-// each waitset entry for up to kSpinBudgetNs, after the rollback and before
+// each waitset entry for up to kSpinBudgetNs, after the unwind and before
 // anything is published. If one publishes a version newer than the attempt's
-// snapshot, the thread restarts at once, and no writer ever sees it waiting.
-// The spin is advisory: it reads only orec words (the orec table is static,
-// so there is no privatization hazard and nothing to register with
+// snapshot, the thread re-executes at once, and no writer ever sees it
+// waiting. The spin is advisory: it reads only orec words (the orec table is
+// static, so there is no privatization hazard and nothing to register with
 // quiescence), it can miss a change (sim-HTM serial writers bypass orecs),
 // and when its budget runs out the registration transaction below runs
 // unchanged and stays the only place that decides to sleep. The
@@ -134,28 +150,44 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
     d.woke_from_sleep = false;
   }
 
-  const bool spin_kind = !timed && ws != nullptr && !ws->Empty();
-  const bool spin = spin_kind && d.spin_before_park;
+  TxDesc::PendingWait& w = d.pending_wait;
+  w.fn = fn;
+  w.args = args;
+  w.timed = timed;
   // Versions up to the attempt's start are its own snapshot. On eager STM the
   // rollback below also republishes each orec this attempt locked at its
   // pre-lock version + 1 (never past start + 1), which is no change either.
-  const std::uint64_t spin_floor = d.locks.empty() ? d.start : d.start + 1;
+  w.spin_floor = d.locks.empty() ? d.start : d.start + 1;
 
   // Figure 2.1, time 1: undo all effects. Memory is now indistinguishable from
   // the transaction never having run; only the thread's published precondition
   // remains (allocations the waitset points into are kept alive until wakeup).
   RollbackForDeschedule(d);
+  d.skip_backoff = true;
+  throw TxRestart{};
+}
 
-  if (spin) {
+void TmSystem::RunPendingWait(TxDesc& d) {
+  const TxDesc::PendingWait w = d.pending_wait;
+  d.pending_wait.fn = nullptr;
+  const WaitPredFn fn = w.fn;
+  const WaitArgs& args = w.args;
+  const bool timed = w.timed;
+  const WaitSet* ws =
+      fn == &FindChangesPred ? reinterpret_cast<const WaitSet*>(args.v[0])
+                             : nullptr;
+  // Untimed waits with an address list may spin, and their parks re-arm it.
+  const bool spin_kind = !timed && ws != nullptr && !ws->Empty();
+
+  if (spin_kind && d.spin_before_park) {
     const std::uint64_t spin_start_ns = ObsNowNs();
-    if (SpinForWaitsetChange(orecs_, *ws, spin_floor, spin_start_ns)) {
+    if (SpinForWaitsetChange(orecs_, *ws, w.spin_floor, spin_start_ns)) {
       d.stats.Bump(Counter::kSpinWakeups);
       if (cfg_.latency_metrics) {
         d.obs.wait_duration.Record(ObsNowNs() - spin_start_ns);
       }
       d.mem.ReclaimDeferred();
-      d.skip_backoff = true;
-      throw TxRestart{};
+      return;
     }
     d.stats.Bump(Counter::kSpinMisses);
     d.spin_before_park = false;
@@ -214,7 +246,7 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
     bool acquired = true;
     // The registration transaction ended with SetInactive and nothing below
     // runs a transaction until the park returns: writers' quiescence scans
-    // may skip this thread meanwhile ([quiesce-dekker] parked leg).
+    // may skip this thread meanwhile ([quiesce-dekker] run-state leg).
     quiesce_.MarkParked(d.tid);
     if (timed) {
       // Deadline set by the DeadlineExpired check of the *For call that led
@@ -316,8 +348,6 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
   wake_index_->Remove(d.tid);
 
   d.mem.ReclaimDeferred();
-  d.skip_backoff = true;
-  throw TxRestart{};
 }
 
 // wakeWaiters, batched and with a lock-free claim fast path. Algorithm 4

@@ -239,14 +239,16 @@ struct Orec;
 //                  (and falls back or aborts), or the committer's scan sees
 //                  the published slot (and waits for the reader) — the
 //                  store-buffering exclusion that gates memory reclamation.
-//                  Parked leg: the scan skips slots whose parked bit is set,
-//                  so a thread leaving a park clears its bit with a seq_cst
-//                  RMW before its next SetActive, and the committer reads the
-//                  bitmap with a seq_cst load after its Increment. Either the
-//                  load sees the clear (and the slot is scanned as above), or
-//                  it precedes the clear in S and the thread's next clock and
-//                  orec samples see the commit. Setting the bit is a release
-//                  RMW after SetInactive (QuiesceTable::MarkParked).
+//                  Run-state leg: the scan skips slots whose not-running
+//                  bit is set (never claimed, exited, parked), so a thread
+//                  registering or leaving a park clears its bit with a
+//                  seq_cst RMW before its next SetActive, and the committer
+//                  reads the bitmap with a seq_cst load after its Increment.
+//                  Either the load sees the clear (and the slot is scanned as
+//                  above), or it precedes the clear in S and the thread's
+//                  next clock and orec samples see the commit. Setting the
+//                  bit is a release RMW after SetInactive
+//                  (QuiesceTable::MarkParked, at park and at thread exit).
 //
 //  [seg-publish]   (minimal: release/acquire)
 //                  Lazy publication of 256-tid segment control blocks

@@ -293,6 +293,9 @@ auto Atomically(TmSystem& sys, Body&& body) {
   if (sys.InTx()) {
     return body(tx);
   }
+  // OnRestart runs outside the handler: by then the attempt's frames, RAII
+  // guards included, are gone, and a Retry's spin and park (deschedule.cc)
+  // happen here, off the path from a writer's commit to the re-execution.
   if constexpr (std::is_void_v<R>) {
     for (;;) {
       sys.Begin();
@@ -301,8 +304,8 @@ auto Atomically(TmSystem& sys, Body&& body) {
         sys.Commit();
         return;
       } catch (const TxRestart&) {
-        sys.OnRestart();
       }
+      sys.OnRestart();
     }
   } else {
     for (;;) {
@@ -312,8 +315,8 @@ auto Atomically(TmSystem& sys, Body&& body) {
         sys.Commit();
         return result;
       } catch (const TxRestart&) {
-        sys.OnRestart();
       }
+      sys.OnRestart();
     }
   }
 }

@@ -317,6 +317,17 @@ void ProtocolChecker::OnWakePost(int waiter_tid) {
 
 // --- segment publication balance ---
 
+// --- quiescence run state ---
+
+void ProtocolChecker::OnQuiesceActive(int tid, bool not_running) {
+  if (not_running) {
+    Fail("quiesce-run-state",
+         "tid %d SetActive while its not-running bit is set (quiescence "
+         "scans skip the slot)",
+         tid);
+  }
+}
+
 void ProtocolChecker::OnSegmentPublished(SegmentKind kind, int index) {
   const char* name =
       kind == SegmentKind::kWaiterRegistry ? "waiter-registry" : "wake-index";

@@ -34,6 +34,10 @@
 //    (the transactional asleep 1→0 transition in deschedule.cc) is posted
 //    exactly once, and a wake-path post never happens without a committed
 //    claim. A violation here IS a double or lost wakeup.
+//  * Quiescence run state — a thread opens a transaction (SetActive) only on
+//    a slot whose not-running bit is clear. A set bit there means a missed
+//    registration or unpark leg: commit-time quiescence scans would skip a
+//    running transaction.
 //  * Segment publication balance — each 256-tid segment control block of the
 //    segmented WaiterRegistry / WakeIndex is published at most once (the
 //    [seg-publish] CAS admits one winner; a double report means a lost CAS
@@ -140,6 +144,11 @@ class ProtocolChecker {
   // Called by the waker immediately before posting the claimed waiter's wake
   // token (ParkSpot::Post).
   void OnWakePost(int waiter_tid);
+
+  // --- quiescence run state (QuiesceTable) ---
+  // Called on every SetActive of `tid`'s slot with whether its not-running
+  // bit was set at the time.
+  void OnQuiesceActive(int tid, bool not_running);
 
   // --- segment publication balance (segmented registry / wake index) ---
   // Which segmented structure published a segment control block.

@@ -87,6 +87,7 @@ TmSystem::TmSystem(const TmConfig& config)
   // only the domain-owned structures participate in the balance protocols.
   wake_index_->AttachProtocolChecker(proto_.get());
   waiters_->AttachProtocolChecker(proto_.get());
+  quiesce_.AttachProtocolChecker(proto_.get());
 #endif
   std::lock_guard<std::mutex> g(LiveSystemsMutex());
   LiveSystems().emplace(uid_, this);
@@ -100,6 +101,9 @@ TmSystem::~TmSystem() {
 void TmSystem::ReleaseTid(TxDesc* d) {
   SpinLockGuard g(registration_lock_);
   TCS_CHECK_MSG(d->nesting == 0, "thread exited inside a transaction");
+  // The exiting thread is past its last SetInactive: commits stop scanning
+  // its slot until a new owner registers (see quiesce.h).
+  quiesce_.MarkParked(d->tid);
   free_tids_.push_back(d->tid);
 }
 
@@ -113,26 +117,33 @@ void TmSystem::ReleaseTidIfAlive(std::uint64_t uid, TxDesc* d) {
 
 TxDesc& TmSystem::RegisterThread() {
   SpinLockGuard g(registration_lock_);
+  TxDesc* d = nullptr;
   if (!free_tids_.empty()) {
     int tid = free_tids_.back();
     free_tids_.pop_back();
-    TxDesc& d = *descs_[static_cast<std::size_t>(tid)];
+    d = descs_[static_cast<std::size_t>(tid)].get();
     // Clear any stale wake/timeout token left by a racing waker (or a late
     // wheel fire) after the previous owner of this slot had already woken.
-    d.park.Reset();
-    return d;
-  }
-  TCS_CHECK_MSG(next_tid_ < cfg_.max_threads, "too many threads for this TM domain");
-  int tid = next_tid_++;
-  descs_[tid] = std::make_unique<TxDesc>(tid, uid_ * 0x9E3779B9ULL + tid);
+    d->park.Reset();
+  } else {
+    TCS_CHECK_MSG(next_tid_ < cfg_.max_threads,
+                  "too many threads for this TM domain");
+    int tid = next_tid_++;
+    descs_[tid] = std::make_unique<TxDesc>(tid, uid_ * 0x9E3779B9ULL + tid);
+    d = descs_[tid].get();
 #if TCS_TRACING
-  if (cfg_.tracing) {
-    // The registering thread is the ring's single writer; Init here (before
-    // the thread's first transaction) keeps that discipline.
-    descs_[tid]->obs.ring.Init(cfg_.trace_ring_capacity);
-  }
+    if (cfg_.tracing) {
+      // The registering thread is the ring's single writer; Init here (before
+      // the thread's first transaction) keeps that discipline.
+      d->obs.ring.Init(cfg_.trace_ring_capacity);
+    }
 #endif
-  return *descs_[tid];
+  }
+  // Registration leg of [quiesce-dekker]: the slot's not-running bit (set
+  // for a never-claimed or exited slot) clears before this thread's first
+  // SetActive, so commits from here on scan it (see quiesce.h).
+  quiesce_.MarkRunning(d->tid);
+  return *d;
 }
 
 TxDesc& TmSystem::Desc() {
@@ -195,6 +206,7 @@ void TmSystem::Begin() {
   if (d.nesting++ > 0) {
     return;  // flat (subsumption) nesting, Appendix A
   }
+  TCS_DCHECK(d.pending_wait.fn == nullptr);  // OnRestart runs every wait
   if (d.retry_logging && !d.internal) {
     // Each attempt rebuilds the waitset so it describes exactly what this
     // execution observed (Algorithm 5's lazily-reset waitset). Internal
@@ -793,6 +805,9 @@ void TmSystem::DeferSignal(const DeferredCvSignal& sig) {
 
 void TmSystem::OnRestart() {
   TxDesc& d = Desc();
+  if (d.pending_wait.fn != nullptr) {
+    RunPendingWait(d);
+  }
   if (!d.skip_backoff) {
     d.backoff.Pause();
   }
@@ -802,23 +817,20 @@ void TmSystem::OnRestart() {
 TxStats TmSystem::AggregateStats() const {
   SpinLockGuard g(registration_lock_);
   TxStats total;
-  for (const auto& d : descs_) {
-    if (d != nullptr) {
-      total.MergeFrom(d->stats);
-    }
+  for (int tid = 0; tid < next_tid_; ++tid) {
+    total.MergeFrom(descs_[static_cast<std::size_t>(tid)]->stats);
   }
   return total;
 }
 
 void TmSystem::ResetStats() {
   SpinLockGuard g(registration_lock_);
-  for (const auto& d : descs_) {
-    if (d != nullptr) {
-      d->stats.Reset();
-      // Trial reset covers the derived metrics too; TraceRings deliberately
-      // survive (cumulative flight recorder, single-writer — see ThreadObs).
-      d->obs.ResetMetrics();
-    }
+  for (int tid = 0; tid < next_tid_; ++tid) {
+    TxDesc& d = *descs_[static_cast<std::size_t>(tid)];
+    d.stats.Reset();
+    // Trial reset covers the derived metrics too; TraceRings deliberately
+    // survive (cumulative flight recorder, single-writer — see ThreadObs).
+    d.obs.ResetMetrics();
   }
 }
 
@@ -827,10 +839,8 @@ TmSystem::ObsSnapshot TmSystem::SnapshotObs(std::size_t top_n_orecs) const {
   ObsSnapshot snap;
   // Hot-orec tallies are merged across threads by orec index before ranking.
   std::vector<std::pair<std::size_t, std::uint64_t>> orec_counts;
-  for (const auto& d : descs_) {
-    if (d == nullptr) {
-      continue;
-    }
+  for (int tid = 0; tid < next_tid_; ++tid) {
+    const TxDesc* d = descs_[static_cast<std::size_t>(tid)].get();
     snap.stats.MergeFrom(d->stats);
     for (int i = 0; i < kNumAbortCauses; ++i) {
       snap.abort_causes[i] += d->obs.causes.Get(static_cast<AbortCause>(i));
@@ -953,11 +963,10 @@ bool TmSystem::DumpTrace(const std::string& path) const {
   std::vector<ThreadTrace> threads;
   {
     SpinLockGuard g(registration_lock_);
-    threads.reserve(descs_.size());
-    for (const auto& d : descs_) {
-      if (d != nullptr) {
-        threads.push_back({d->tid, &d->obs.ring});
-      }
+    threads.reserve(static_cast<std::size_t>(next_tid_));
+    for (int tid = 0; tid < next_tid_; ++tid) {
+      const TxDesc& d = *descs_[static_cast<std::size_t>(tid)];
+      threads.push_back({d.tid, &d.obs.ring});
     }
   }
 #if TCS_TRACING

@@ -166,7 +166,10 @@ class TmSystem {
     d.internal = false;
   }
 
-  // Called by the restart loop between attempts.
+  // Called by the restart loop between attempts, after the failed attempt's
+  // frames have unwound. Runs the wait a Retry/Await/WaitPred requested (the
+  // pre-park spin, registration and park; see deschedule.cc), then backs off
+  // unless the restart asked not to.
   void OnRestart();
 
   // Post-commit pass that wakes satisfied waiters (Algorithm 4's wakeWaiters).
@@ -185,6 +188,9 @@ class TmSystem {
   // The domain's ownership records (address → orec), e.g. to ask which
   // wake-index shard or fingerprint bits an address maps to.
   OrecTable& orecs() { return orecs_; }
+  // The domain's commit-time quiescence table (e.g. to count the slots a
+  // commit scans).
+  const QuiesceTable& quiesce() const { return quiesce_; }
 
   // Parking spot of a registered thread (used by TMCondVar signalers and the
   // wake paths in deschedule.cc).
@@ -375,11 +381,15 @@ class TmSystem {
   // serial-mode writer, arbitrary predicate) and defers to the wake batch.
   enum class CasClaimResult { kClaimed, kSkipped, kFallback };
   CasClaimResult TryCasWakeClaim(TxDesc& d, int waiter_tid);
-  // Shared body of Deschedule and the timed waits: publish, double-check, and
-  // sleep — bounded by d's deadline when `timed` is set. A timeout deregisters
-  // the slot (draining any racing wakeup post) and restarts the transaction;
-  // the re-executed body's *For call then observes the expired deadline.
+  // Shared body of Deschedule and the timed waits, on the transaction's side:
+  // roll the attempt back, record the wait in d.pending_wait and restart.
   [[noreturn]] void DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed);
+  // The wait itself, run by OnRestart once the body has unwound: spin,
+  // publish, double-check, and sleep — bounded by d's deadline when the wait
+  // is timed. A timeout deregisters the slot (draining any racing wakeup
+  // post); the re-executed body's *For call then observes the expired
+  // deadline.
+  void RunPendingWait(TxDesc& d);
   // Arms/checks the per-call deadline slot for the timed wait identified by
   // `wait_key` (plus its occurrence ordinal this attempt). Returns true if that
   // call's deadline has expired (slot erased, kWaitTimeouts bumped): the caller

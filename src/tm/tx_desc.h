@@ -104,10 +104,22 @@ struct TxDesc {
   ParkSpot park;               // per-thread futex parking place
   bool woke_from_sleep = false;
   // Whether the next untimed findChanges wait spins on its waitset orecs
-  // before registering (DescheduleImpl). Set when an untimed park ended in a
+  // before registering (RunPendingWait). Set when an untimed park ended in a
   // wakeup shortly after it began, or when a spin saw a change; cleared when
   // a spin runs out its budget.
   bool spin_before_park = false;
+
+  // The wait a Retry/Await/WaitPred asked for, recorded when the attempt
+  // rolled back and run by TmSystem::OnRestart once the body has unwound
+  // (deschedule.cc); fn == nullptr when none is pending. `args` is a copy,
+  // so nothing here points into the unwound body's frames.
+  struct PendingWait {
+    WaitPredFn fn = nullptr;
+    WaitArgs args;
+    bool timed = false;
+    std::uint64_t spin_floor = 0;  // orec versions up to this are no change
+  };
+  PendingWait pending_wait;
 
   // --- OrElse / timed-wait state ---
   // Number of OrElse alternatives the current attempt still has available; a

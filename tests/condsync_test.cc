@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <semaphore>
 #include <string>
@@ -1223,6 +1224,103 @@ TEST_P(SpinPolicyTest, OwnRollbackIsNotAChange) {
   AwaitCounter(rt_, Counter::kSleeps, sleeps + 1);
   Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
   waiter.join();
+}
+
+// Runs `wait` on a primed waiter thread while this thread writes x = 1 only
+// once the waiter has parked, so the wait's spin always misses.
+template <typename Wait>
+void RunMissedSpinWait(Runtime& rt, TVar<std::uint64_t>& tick,
+                       TVar<std::uint64_t>& x, Wait wait) {
+  std::binary_semaphore primed{0};
+  std::binary_semaphore go{0};
+  std::thread waiter([&] {
+    EXPECT_TRUE(PrimeSpin(rt, tick));
+    primed.release();
+    go.acquire();
+    wait();
+  });
+  primed.acquire();
+  const std::uint64_t sleeps = rt.AggregateStats().Get(Counter::kSleeps);
+  go.release();
+  AwaitCounter(rt, Counter::kSleeps, sleeps + 1);
+  Atomically(rt.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
+  waiter.join();
+}
+
+// The wait runs from the restart loop: by the time its spin starts, the
+// body's frames are unwound and their RAII guards destroyed.
+TEST_P(SpinPolicyTest, BodyUnwindsBeforeTheSpin) {
+  TVar<std::uint64_t> x(0);
+  RunMissedSpinWait(rt_, tick_, x, [&] {
+    struct Seen {
+      bool wait_pending;
+      std::uint64_t spins, misses, sleeps;
+    };
+    std::vector<Seen> seen;
+    struct Guard {
+      std::function<void()> on_exit;
+      ~Guard() { on_exit(); }
+    };
+    const std::uint64_t spins = Own(Counter::kSpinWakeups);
+    const std::uint64_t misses = Own(Counter::kSpinMisses);
+    const std::uint64_t sleeps = Own(Counter::kSleeps);
+    Atomically(rt_.sys(), [&](Tx& tx) {
+      Guard guard{[&] {
+        seen.push_back({rt_.sys().Desc().pending_wait.fn != nullptr,
+                        Own(Counter::kSpinWakeups), Own(Counter::kSpinMisses),
+                        Own(Counter::kSleeps)});
+      }};
+      if (tx.Load(x) == 0) {
+        tx.Retry();
+      }
+    });
+    EXPECT_EQ(Own(Counter::kSpinMisses), misses + 1);
+    EXPECT_EQ(Own(Counter::kSleeps), sleeps + 1);
+    int waited = 0;
+    for (const Seen& s : seen) {
+      if (s.wait_pending) {
+        // The attempt that asked for the wait: its guard ran before the
+        // spin did anything.
+        ++waited;
+        EXPECT_EQ(s.spins, spins);
+        EXPECT_EQ(s.misses, misses);
+        EXPECT_EQ(s.sleeps, sleeps);
+      }
+    }
+    EXPECT_EQ(waited, 1);
+  });
+}
+
+// A spin that misses goes straight on to registration and park: the body
+// runs once with retry logging (the attempt that waits) and once more only
+// after the wakeup.
+TEST_P(SpinPolicyTest, SpinMissRegistersWithoutReexecutingTheBody) {
+  TVar<std::uint64_t> x(0);
+  RunMissedSpinWait(rt_, tick_, x, [&] {
+    const std::uint64_t spins = Own(Counter::kSpinWakeups);
+    const std::uint64_t misses = Own(Counter::kSpinMisses);
+    const std::uint64_t sleeps = Own(Counter::kSleeps);
+    const std::uint64_t indexed = Own(Counter::kIndexedDeschedules);
+    const std::uint64_t wakeups = rt_.AggregateStats().Get(Counter::kWakeups);
+    int logged_retries = 0;
+    int after_wakeup = 0;
+    Atomically(rt_.sys(), [&](Tx& tx) {
+      if (tx.Load(x) == 0) {
+        if (rt_.sys().Desc().retry_logging) {
+          ++logged_retries;
+        }
+        tx.Retry();
+      }
+      ++after_wakeup;
+    });
+    EXPECT_EQ(logged_retries, 1);
+    EXPECT_EQ(after_wakeup, 1);
+    EXPECT_EQ(Own(Counter::kSpinWakeups), spins);
+    EXPECT_EQ(Own(Counter::kSpinMisses), misses + 1);
+    EXPECT_EQ(Own(Counter::kIndexedDeschedules), indexed + 1);
+    EXPECT_EQ(Own(Counter::kSleeps), sleeps + 1);
+    EXPECT_EQ(rt_.AggregateStats().Get(Counter::kWakeups), wakeups + 1);
+  });
 }
 
 // Capacity-1 ping-pong, 2 producers and 2 consumers: every item arrives

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <semaphore>
 #include <thread>
 #include <vector>
 
@@ -180,29 +181,29 @@ TEST(LitmusRetryDekkerTest, FencesExcludeStoreBufferingOutcome) {
 }
 
 // --------------------------------------------------------------------------
-// [quiesce-dekker] parked leg — store buffering between a thread leaving a
-// park and a committer's scan. Thread: clear parked bit (seq_cst RMW), sample
-// the clock, publish its slot, sample the orec, and — only if the orec is
-// clean — read the payload. Committer: bump the orec, Increment the clock,
-// scan (parked bitmap, then slots), then reclaim the payload. Forbidden
-// outcome: the scan skips the thread on a stale parked bit AND the thread's
-// orec sample misses the bump — it would read reclaimed memory. The plain
-// payload makes that outcome a reported race under TSan as well.
+// [quiesce-dekker] run-state leg — store buffering between a thread that
+// starts running (it registers, or leaves a park) and a committer's scan.
+// Thread: clear its not-running bit (seq_cst RMW), sample the clock, publish
+// its slot, sample the orec, and — only if the orec is clean — read the
+// payload. Committer: bump the orec, Increment the clock, scan (not-running
+// bitmap, then slots), then reclaim the payload. Forbidden outcome: the scan
+// skips the thread on a stale set bit AND the thread's orec sample misses the
+// bump — it would read reclaimed memory. The plain payload makes that outcome
+// a reported race under TSan as well. Before each round, `leave(round)`
+// returns the round's tid with its slot not running (never claimed, exited,
+// or parked).
 // --------------------------------------------------------------------------
-TEST(LitmusQuiesceParkedTest, ParkedBitClearExcludesStaleSkip) {
-  constexpr int kRounds = 1000;
+template <typename Leave>
+void RunStateLitmus(QuiesceTable& quiesce, int rounds, Leave leave) {
   constexpr int kCommitter = 0;
-  constexpr int kThread = 1;
-  QuiesceTable quiesce(/*max_threads=*/64);
   VersionClock clock;
-  quiesce.SetInactive(kThread);  // allocates the segment
-  for (int round = 0; round < kRounds; ++round) {
+  for (int round = 0; round < rounds; ++round) {
+    const int tid = leave(round);
     std::atomic<std::uint64_t> orec{0};
     std::uint64_t payload = 1;  // plain: reclaimed by the committer
     std::uint64_t seen_payload = 0;
     std::atomic<bool> reclaimed{false};
     bool clean = false;
-    quiesce.MarkParked(kThread);
     std::atomic<int> ready{0};
     auto rendezvous = [&] {
       // mo: acq_rel — [harness] cross-thread counter/flag RMW.
@@ -214,18 +215,18 @@ TEST(LitmusQuiesceParkedTest, ParkedBitClearExcludesStaleSkip) {
     };
     std::thread thread([&] {
       rendezvous();
-      quiesce.MarkRunning(kThread);
-      quiesce.SetActive(kThread, clock.Load());
+      quiesce.MarkRunning(tid);
+      quiesce.SetActive(tid, clock.Load());
       // mo: acquire — [orec-publish]: the transaction's orec sample.
       clean = orec.load(std::memory_order_acquire) == 0;
       if (clean) {
         Dwell();  // hold the transaction open while the committer scans
-        seen_payload = payload;  // race-free iff the parked leg holds
+        seen_payload = payload;  // race-free iff the run-state leg holds
         // mo: acquire — [harness] observe worker-published state.
         EXPECT_FALSE(reclaimed.load(std::memory_order_acquire))
-            << "round " << round << ": running reader skipped as parked";
+            << "round " << round << ": running reader skipped as not running";
       }
-      quiesce.SetInactive(kThread);
+      quiesce.SetInactive(tid);
     });
     std::thread committer([&] {
       rendezvous();
@@ -242,6 +243,84 @@ TEST(LitmusQuiesceParkedTest, ParkedBitClearExcludesStaleSkip) {
     if (clean) {
       EXPECT_EQ(seen_payload, 1u);
     }
+  }
+}
+
+// Leaving a park.
+TEST(LitmusQuiesceParkedTest, ParkedBitClearExcludesStaleSkip) {
+  constexpr int kThread = 1;
+  QuiesceTable quiesce(/*max_threads=*/64);
+  RunStateLitmus(quiesce, 1000, [&](int) {
+    quiesce.MarkParked(kThread);
+    return kThread;
+  });
+}
+
+// Registering on a never-claimed tid: every round takes a fresh slot, so the
+// thread's first transaction races the scan, and the first tid of each
+// segment also publishes its segment during the race ([seg-publish]).
+TEST(LitmusQuiesceRegistrationTest, FreshTidIsWaitedForFromItsFirstTransaction) {
+  constexpr int kRounds = 1000;
+  QuiesceTable quiesce(/*max_threads=*/kRounds + 1);
+  RunStateLitmus(quiesce, kRounds, [](int round) { return round + 1; });
+}
+
+// Registering on a recycled tid: the slot's previous owner ran a transaction
+// and exited (its bit set again) before the new owner registers.
+TEST(LitmusQuiesceRegistrationTest, RecycledTidIsWaitedForAfterReregistration) {
+  constexpr int kTid = 1;
+  QuiesceTable quiesce(/*max_threads=*/64);
+  RunStateLitmus(quiesce, 1000, [&](int round) {
+    quiesce.MarkRunning(kTid);  // the previous owner's registration
+    quiesce.SetActive(kTid, static_cast<std::uint64_t>(round));
+    quiesce.SetInactive(kTid);
+    quiesce.MarkParked(kTid);  // ... and its exit
+    return kTid;
+  });
+}
+
+// The scan skips what cannot be running: a stale start left in a slot whose
+// bit is set would block WaitForReadersBefore forever if it were scanned.
+TEST(QuiesceRunStateTest, UnclaimedAndExitedSlotsAreNotScanned) {
+  QuiesceTable quiesce(/*max_threads=*/512);
+  EXPECT_EQ(quiesce.RunningSlots(), 0);
+  quiesce.SetActive(300, 1);  // never claimed: a fresh segment, all bits set
+  EXPECT_EQ(quiesce.RunningSlots(), 0);
+  quiesce.WaitForReadersBefore(10, 0);
+  quiesce.SetInactive(300);
+
+  quiesce.MarkRunning(5);  // registration
+  quiesce.MarkRunning(7);
+  EXPECT_EQ(quiesce.RunningSlots(), 2);
+  quiesce.SetInactive(5);
+  quiesce.MarkParked(5);  // exit
+  EXPECT_EQ(quiesce.RunningSlots(), 1);
+  quiesce.SetActive(5, 1);
+  quiesce.WaitForReadersBefore(10, 0);
+}
+
+// The same count on a domain: a thread's slot is scanned from its first
+// transaction until it exits, and a recycled tid is scanned again.
+TEST(QuiesceRunStateTest, DomainScansOnlyLiveThreads) {
+  TmConfig cfg;
+  cfg.max_threads = 16;
+  Runtime rt(cfg);
+  TVar<std::uint64_t> cell(0);
+  const QuiesceTable& quiesce = rt.sys().quiesce();
+  const int before = quiesce.RunningSlots();
+  for (int wave = 0; wave < 3; ++wave) {
+    std::binary_semaphore ran{0};
+    std::binary_semaphore exit{0};
+    std::thread t([&] {
+      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cell, tx.Load(cell) + 1); });
+      ran.release();
+      exit.acquire();
+    });
+    ran.acquire();
+    EXPECT_EQ(quiesce.RunningSlots(), before + 1) << "wave " << wave;
+    exit.release();
+    t.join();
+    EXPECT_EQ(quiesce.RunningSlots(), before) << "wave " << wave;
   }
 }
 
@@ -392,6 +471,68 @@ TEST_P(LitmusBackendTest, ParkingReadersNeverSeePrivatizedMemory) {
       << BackendName(GetParam());
   EXPECT_GT(rt.AggregateStats().Get(Counter::kSleeps), 0u)
       << "readers never parked; the test lost its shape";
+}
+
+// Registration under thread churn, end to end on every backend: short-lived
+// reader threads each run a few transactions that dereference the shared node
+// and exit, two at a time, so the first readers take fresh tids and every
+// later one a recycled tid. A reader whose registration did not clear its
+// not-running bit would be skipped by the writer's quiescence scan and could
+// commit having read the poisoned (and freed) node.
+TEST_P(LitmusBackendTest, ShortLivedReadersNeverSeePrivatizedMemory) {
+  constexpr int kWaves = 150;
+  constexpr int kPerWave = 2;
+  constexpr int kReadsPerReader = 10;
+  TmConfig cfg;
+  cfg.backend = GetParam();
+  cfg.orec_table_log2 = 12;
+  cfg.max_threads = 8;  // far fewer than the readers: tids must recycle
+  Runtime rt(cfg);
+  TVar<PrivNode*> head(new PrivNode);
+  std::atomic<int> poisoned_reads{0};
+  std::atomic<bool> readers_done{false};
+  std::thread writer([&] {
+    // mo: acquire — [harness] observe worker-published state.
+    while (!readers_done.load(std::memory_order_acquire)) {
+      PrivNode* fresh = new PrivNode;
+      PrivNode* old = nullptr;
+      Atomically(rt.sys(), [&](Tx& tx) {
+        old = tx.Load(head);
+        tx.Store(head, fresh);
+      });
+      old->magic.UnsafeWrite(kDead);  // privatized: no transaction sees it
+      delete old;
+    }
+  });
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kPerWave; ++r) {
+      readers.emplace_back([&] {
+        for (int i = 0; i < kReadsPerReader; ++i) {
+          const std::uint64_t magic = Atomically(rt.sys(), [&](Tx& tx) {
+            PrivNode* n = tx.Load(head);
+            Dwell();  // widen the window in which the writer may free n
+            return tx.Load(n->magic);
+          });
+          if (magic != kAlive) {
+            // mo: acq_rel — [harness] cross-thread counter/flag RMW.
+            poisoned_reads.fetch_add(1, std::memory_order_acq_rel);
+          }
+        }
+      });
+    }
+    for (auto& t : readers) {
+      t.join();
+    }
+  }
+  // mo: release — [harness] publish state to other harness threads.
+  readers_done.store(true, std::memory_order_release);
+  writer.join();
+  delete head.UnsafeRead();
+  // mo: acquire — [harness] observe worker-published state.
+  EXPECT_EQ(poisoned_reads.load(std::memory_order_acquire), 0)
+      << "a reader committed after reading privatized memory on "
+      << BackendName(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -16,6 +16,7 @@
 #include "src/core/tvar.h"
 #include "src/tm/orec_table.h"
 #include "src/tm/protocol_checker.h"
+#include "src/tm/quiesce.h"
 
 namespace tcs {
 namespace {
@@ -205,6 +206,34 @@ TEST_F(ProtocolCheckerTest, DoubleClaimBeforePostFires) {
   checker_.OnWakeClaimCommitted(2);
   checker_.OnWakeClaimCommitted(2);
   EXPECT_EQ(rec_.Count("wake-claim"), 1);
+}
+
+// --- quiescence run state ---
+
+TEST_F(ProtocolCheckerTest, SetActiveOnNotRunningSlotFires) {
+  checker_.OnQuiesceActive(3, /*not_running=*/false);
+  EXPECT_TRUE(rec_.protocols.empty());
+  checker_.OnQuiesceActive(3, /*not_running=*/true);
+  EXPECT_EQ(rec_.Count("quiesce-run-state"), 1);
+}
+
+// Through a table: a transaction opened on a slot that skipped its
+// registration leg is reported (hooks compile only with the checker on).
+TEST_F(ProtocolCheckerTest, TableReportsMissingRegistrationLeg) {
+  QuiesceTable quiesce(kMaxThreads);
+  quiesce.AttachProtocolChecker(&checker_);
+  quiesce.MarkRunning(1);
+  quiesce.SetActive(1, 5);
+  quiesce.SetInactive(1);
+  EXPECT_TRUE(rec_.protocols.empty());
+  quiesce.MarkParked(1);
+  quiesce.SetActive(2, 5);  // never registered
+  quiesce.SetActive(1, 6);  // parked or exited
+#if TCS_PROTOCOL_CHECKS
+  EXPECT_EQ(rec_.Count("quiesce-run-state"), 2);
+#else
+  EXPECT_TRUE(rec_.protocols.empty());
+#endif
 }
 
 TEST_F(ProtocolCheckerTest, ViolationCounterTracksFailures) {

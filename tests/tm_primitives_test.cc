@@ -193,6 +193,7 @@ TEST(QuiesceTest, InactiveThreadsDoNotBlock) {
 
 TEST(QuiesceTest, ActiveOldReaderBlocksUntilDone) {
   QuiesceTable q(2);
+  q.MarkRunning(1);  // registered: only running slots are scanned
   q.SetActive(1, 5);
   std::binary_semaphore started{0};
   std::thread waiter([&] {
@@ -206,6 +207,7 @@ TEST(QuiesceTest, ActiveOldReaderBlocksUntilDone) {
 
 TEST(QuiesceTest, NewerReaderDoesNotBlock) {
   QuiesceTable q(2);
+  q.MarkRunning(1);
   q.SetActive(1, 50);
   q.WaitForReadersBefore(10, 0);  // 50 >= 10: no wait
   q.SetInactive(1);
