@@ -54,6 +54,7 @@ constexpr std::string_view kCounterNames[] = {
     "wake_fingerprint_skips",
     "spin_wakeups",
     "spin_misses",
+    "wake_gate_skips",
 };
 static_assert(std::size(kCounterNames) ==
                   static_cast<std::size_t>(Counter::kNumCounters),

@@ -73,6 +73,8 @@ enum class Counter : int {
   kSpinWakeups,  // pre-park spins that saw a waitset orec change and
                  // restarted without registering (deschedule.cc)
   kSpinMisses,   // pre-park spins that ran out their budget and registered
+  kWakeGateSkips,  // writer wake passes the wake index's counting gate ended
+                   // before any summary, segment or fingerprint read
   kNumCounters,
 };
 

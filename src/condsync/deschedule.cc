@@ -9,9 +9,14 @@
 // in the sharded WakeIndex under the orec of each waitset address, so a
 // committing writer wake-checks only the waiters its write set could have
 // satisfied; arbitrary-predicate waiters land on the index's global fallback
-// list, which every writer still visits. See wake_index.h for the
-// no-lost-wakeup argument, and the comment on WakeWaiters below for why it
-// survives batching the wake checks into shared wake transactions.
+// list, which every writer still visits. Before it publishes its index
+// entries, an indexed waiter also raises the wake index's counting gate for
+// each waitset orec (TxDesc::wait_orecs, reused wait to wait), and lowers it
+// again after its final Remove; a writer whose written orecs all read zero
+// there, with no waiter on the global list, skips the index altogether. See
+// wake_index.h for the no-lost-wakeup argument, and the comment on
+// WakeWaiters below for why it survives batching the wake checks into shared
+// wake transactions.
 //
 // Where the wait runs. The body's Retry/Await/WaitPred call only rolls the
 // attempt back, records the wait in TxDesc::pending_wait and throws
@@ -199,16 +204,17 @@ void TmSystem::RunPendingWait(TxDesc& d) {
   // one (the previous claimer's post — and therefore its stamp — was consumed
   // before this thread could re-deschedule).
   slot.StampWakePost(0);
-  // Index entries and the presence bit must be visible before the registration
-  // transaction can commit; committing writers order their peeks against both
-  // through the clock.
+  // Gate counts, index entries and the presence bit must be visible before
+  // the registration transaction can commit; committing writers order their
+  // peeks against all three through the clock.
+  std::vector<const Orec*>& wait_orecs = d.wait_orecs;
+  wait_orecs.clear();
   if (cfg_.targeted_wakeup && ws != nullptr && !ws->Empty()) {
-    std::vector<const Orec*> read_orecs;
-    read_orecs.reserve(ws->Size());
     for (const WaitSet::Entry& e : ws->entries()) {
-      read_orecs.push_back(&orecs_.For(e.addr));
+      wait_orecs.push_back(&orecs_.For(e.addr));
     }
-    wake_index_->AddIndexed(d.tid, read_orecs.data(), read_orecs.size());
+    wake_index_->RaiseGate(wait_orecs.data(), wait_orecs.size());
+    wake_index_->AddIndexed(d.tid, wait_orecs.data(), wait_orecs.size());
     d.stats.Bump(Counter::kIndexedDeschedules);
   } else {
     // WaitPred waiters have no address list; an *empty* findChanges waitset
@@ -343,9 +349,11 @@ void TmSystem::RunPendingWait(TxDesc& d) {
   }
   waiters_->UnmarkRegistered(d.tid);
   TCS_PROTO(proto_->OnPresenceUnmark(d.tid));
-  // Clears this tid's shard and fallback entries alike, so every exit —
-  // wakeup, timeout, and the no-sleep double-check — leaves the index clean.
+  // Clears this tid's shard and fallback entries (and its global count)
+  // alike, then its gate counts, so every exit — wakeup, timeout, and the
+  // no-sleep double-check — leaves the index clean.
   wake_index_->Remove(d.tid);
+  wake_index_->LowerGate(wait_orecs.data(), wait_orecs.size());
 
   d.mem.ReclaimDeferred();
 }
@@ -563,6 +571,17 @@ TmSystem::CasClaimResult TmSystem::TryCasWakeClaim(TxDesc& d, int waiter_tid) {
 
 void TmSystem::WakeWaiters(const std::vector<const Orec*>& write_orecs) {
   TxDesc& d = Desc();
+
+  // Phase 0: the counting gate. A targeted pass over a non-empty write set
+  // whose orecs no waiter counts (and with nobody on the global list) has no
+  // candidate to find, so it ends here, before any scratch, summary, segment
+  // or fingerprint is touched (wake_index.h). The empty-snapshot scan and
+  // the global-scan baseline below stay ungated.
+  if (cfg_.targeted_wakeup && !write_orecs.empty() &&
+      !wake_index_->GateOpen(write_orecs.data(), write_orecs.size())) {
+    d.stats.Bump(Counter::kWakeGateSkips);
+    return;
+  }
 
   // Phase 1: collect candidates. Order is significant (shard-indexed first;
   // see ForEachCandidateIn) and self never qualifies. Collection dedups with

@@ -18,7 +18,7 @@ int Log2(int v) {
 
 }  // namespace
 
-WakeIndex::WakeIndex(int max_threads, int num_shards)
+WakeIndex::WakeIndex(int max_threads, int num_shards, int gate_log2)
     : capacity_(max_threads),
       num_shards_(num_shards),
       shards_log2_(Log2(num_shards)),
@@ -27,10 +27,17 @@ WakeIndex::WakeIndex(int max_threads, int num_shards)
                        kCondSyncSegmentShift) +
                       63) /
                      64),
+      gate_log2_(gate_log2),
       dir_(max_threads) {
   TCS_CHECK(max_threads > 0);
   TCS_CHECK_MSG(IsPowerOfTwo(num_shards) && num_shards <= kMaxShards,
                 "wake-index shard count must be a power of two in [1, 4096]");
+  TCS_CHECK_MSG(gate_log2 >= 0 && gate_log2 <= kMaxGateLog2,
+                "wake-index gate size must be 2^0..2^16 buckets");
+  gate_.reset(static_cast<std::uint32_t*>(
+      std::calloc(static_cast<std::size_t>(gate_buckets()),
+                  sizeof(std::uint32_t))));
+  TCS_CHECK_MSG(gate_ != nullptr, "wake-index gate allocation failed");
   const std::size_t summary_len =
       static_cast<std::size_t>(num_shards_ + 1) * summary_words_;
   summary_ = std::make_unique<std::atomic<std::uint64_t>[]>(summary_len);
@@ -173,6 +180,14 @@ int WakeIndex::GlobalPopulation() const {
 }
 
 bool WakeIndex::Empty() const {
+  if (GlobalWaiterCount() != 0) {
+    return false;
+  }
+  for (int b = 0; b < gate_buckets(); ++b) {
+    if (GateCountAt(b) != 0) {
+      return false;
+    }
+  }
   const std::size_t summary_len =
       static_cast<std::size_t>(num_shards_ + 1) * summary_words_;
   for (std::size_t i = 0; i < summary_len; ++i) {
@@ -213,6 +228,7 @@ std::size_t WakeIndex::FootprintBytes() const {
   return dir_.DirectoryBytes() +
          static_cast<std::size_t>(num_shards_ + 1) * summary_words_ *
              sizeof(std::uint64_t) +
+         static_cast<std::size_t>(gate_buckets()) * sizeof(std::uint32_t) +
          static_cast<std::size_t>(dir_.Allocated()) * per_segment;
 }
 

@@ -21,17 +21,28 @@
 // segments — 10^6 waiters cost ~4k directory words up front, with bitmap
 // slabs materializing only for tid ranges that actually wait.
 //
-// Writer cost. A writer must pay only for segments that can hold a waiter it
-// might satisfy, so the index keeps a per-shard *segment summary*: for each
-// shard (and for the global list) one bit per segment holding a waiter
-// registered there. A writer ORs the rows of the shards it wrote and visits
-// only those segments. Rows are set after the insert they summarize and
-// cleared only under a seqlock-guarded repair (clear, rescan, conditional
-// re-set), the protocol WaiterRegistry's segment summary already uses. Within
-// a visited segment, every waiter also publishes a 64-bit *fingerprint* of
-// its waitset (two bits per orec, FingerprintOf): a shard-aliased candidate
-// whose fingerprint lacks both bits of every written orec is dropped before
-// any claim or wake check, at the cost of one load and a few ANDs.
+// Writer cost. A commit that no waiter cares about must cost the same with
+// 4096 threads parked as with none, so a writer first passes a *counting
+// gate*: one 32-bit count per orec bucket (GateBucketOf: about 2^16 buckets,
+// fewer for a smaller orec table) of the waiters whose waitset covers an orec
+// of that bucket, plus one count of the waiters on the global list. A writer
+// whose written orecs all land in zero buckets, with the global count zero,
+// has nobody to wake and returns after one load per written orec, before it
+// reads any summary, segment or fingerprint. Counts are per bucket, not per
+// orec, so a collision only opens the gate for nothing.
+//
+// A commit that passes the gate must still pay only for segments that can
+// hold a waiter it might satisfy, so the index keeps a per-shard *segment
+// summary*: for each shard (and for the global list) one bit per segment
+// holding a waiter registered there. A writer ORs the rows of the shards it
+// wrote and visits only those segments. Rows are set after the insert they
+// summarize and cleared only under a seqlock-guarded repair (clear, rescan,
+// conditional re-set), the protocol WaiterRegistry's segment summary already
+// uses. Within a visited segment, every waiter also publishes a 64-bit
+// *fingerprint* of its waitset (two bits per orec, FingerprintOf): a
+// shard-aliased candidate whose fingerprint lacks both bits of every written
+// orec is dropped before any claim or wake check, at the cost of one load and
+// a few ANDs.
 //
 // Shard-set representation. A waiter's shard membership is a per-tid *bitmap*
 // of `shard_words()` 64-bit words (owner-thread-only bookkeeping), so the
@@ -64,11 +75,12 @@
 // batched claim/post protocol and its abort/retry reasoning.
 //
 // Publication ordering mirrors the WaiterRegistry presence bitmap: a waiter
-// inserts its index entries (release) *before* its registration transaction
-// begins, and a writer reads shards (acquire) only after its commit's
-// [clock-chain] RMW, so "registration serialized before my commit" implies
-// "I see the entries" — see the [wake-publish] glossary entry below for the
-// full release-sequence argument that let these drop from seq_cst. Segment
+// raises its gate counts and inserts its index entries (release) *before* its
+// registration transaction begins, and a writer reads the gate and the shards
+// (acquire) only after its commit's [clock-chain] RMW, so "registration
+// serialized before my commit" implies "I see the entries" — see the
+// [wake-publish] glossary entry below for the full release-sequence argument
+// that let these drop from seq_cst. Segment
 // publication composes with it: the waiter's directory CAS precedes its
 // inserts, so a writer that would see the inserts sees the segment pointer
 // first ([seg-publish]).
@@ -78,6 +90,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -200,6 +213,21 @@ struct Orec;
 //                  fingerprint, or a later registration's — never an older
 //                  one. A later registration's fingerprint is the right one
 //                  to test: the earlier registration has already ended.
+//                  The counting gate rides it too. A waiter raises the
+//                  count of each waitset orec's bucket (release RMW) before
+//                  its index entries, and so before its registration's
+//                  clock RMW; a writer loads the counts (acquire) after its
+//                  commit RMW. If the registration serialized first, the
+//                  load is ordered after the raise and reads it or a later
+//                  value in the count's modification order. A later value
+//                  cannot drop the raise: each thread lowers (relaxed RMW,
+//                  after Remove) only what it raised itself, and its own
+//                  raise precedes its lower in that order, so the count stays
+//                  ≥1 while the registration is outstanding. If the writer
+//                  serialized first, the double-check sees its writes. A
+//                  stale nonzero count only opens the gate for nothing, so
+//                  no count needs a seqlock repair. AddGlobal and Remove keep
+//                  the global count under the same argument.
 //
 //  [serial-token]  (minimal: seq_cst)
 //                  sim-HTM's Dekker pair: each committer's per-thread
@@ -301,8 +329,14 @@ class WakeIndex {
   // fill most of a 64-bit fingerprint anyway.
   static constexpr std::size_t kMaxFingerprintOrecs = 64;
 
-  // `num_shards` must be a power of two in [1, kMaxShards].
-  WakeIndex(int max_threads, int num_shards);
+  // Ceiling on the gate's size: 2^16 buckets of 4 bytes, 256 KiB of zero
+  // pages that fault in only where waiters count.
+  static constexpr int kMaxGateLog2 = 16;
+
+  // `num_shards` must be a power of two in [1, kMaxShards]; the gate has
+  // 2^gate_log2 buckets, gate_log2 in [0, kMaxGateLog2] (the owning runtime
+  // passes min(kMaxGateLog2, orec_table_log2)).
+  WakeIndex(int max_threads, int num_shards, int gate_log2 = kMaxGateLog2);
 
   WakeIndex(const WakeIndex&) = delete;
   WakeIndex& operator=(const WakeIndex&) = delete;
@@ -310,6 +344,7 @@ class WakeIndex {
   int shard_count() const { return num_shards_; }
   // Words per shard-set bitmap (= ceil(num_shards / 64)).
   int shard_words() const { return shard_words_; }
+  int gate_buckets() const { return 1 << gate_log2_; }
 
   // Optional dynamic protocol checker (TCS_PROTOCOL_CHECKS builds): the owning
   // TmSystem attaches its checker so Add*/Remove report registration-balance
@@ -327,6 +362,22 @@ class WakeIndex {
     return static_cast<int>((static_cast<std::uint64_t>(a >> 3) *
                              0x9E3779B97F4A7C15ULL) >>
                             (64 - shards_log2_));
+  }
+
+  // Gate bucket covering an orec: the orec's table position (orecs are
+  // 8-byte words of one table) hashed to gate_log2 bits. Two multiply rounds
+  // make bucket sharing independent of ShardOf and FingerprintOf; a single
+  // multiply would spread neighbouring orecs so regularly that the orecs
+  // sharing a bucket would be a fixed distance apart and never share
+  // fingerprint bits.
+  int GateBucketOf(const Orec* o) const {
+    if (gate_log2_ == 0) {
+      return 0;
+    }
+    auto a = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(o));
+    std::uint64_t h = (a >> 3) * 0x9E3779B97F4A7C15ULL;
+    h = (h ^ (h >> 32)) * 0xBF58476D1CE4E5B9ULL;
+    return static_cast<int>(h >> (64 - gate_log2_));
   }
 
   // The two bits an orec contributes to a 64-bit waitset fingerprint, from a
@@ -352,9 +403,33 @@ class WakeIndex {
     return false;
   }
 
-  // Waiter side. All three calls for a given tid are made by the owning thread
-  // only, before its registration transaction (Add*) or after deregistering
-  // (Remove); tid reuse across threads is ordered by descriptor recycling.
+  // Waiter side. All calls for a given tid are made by the owning thread
+  // only, before its registration transaction (RaiseGate, Add*) or after
+  // deregistering (Remove, LowerGate); tid reuse across threads is ordered by
+  // descriptor recycling.
+
+  // Counts a waiter on the gate bucket of each given orec (a repeated orec
+  // or bucket counts once per occurrence). Must precede the AddIndexed that
+  // publishes the same orecs; LowerGate with the same list undoes it.
+  void RaiseGate(const Orec* const* orecs, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      // mo: release — [wake-publish]: the raise precedes the index inserts
+      // and the registration transaction's [clock-chain] RMW, so a writer
+      // whose commit RMW serializes later reads it in GateOpen (argument in
+      // the glossary).
+      GateCount(GateBucketOf(orecs[i])).fetch_add(1, std::memory_order_release);
+    }
+  }
+
+  void LowerGate(const Orec* const* orecs, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      // mo: relaxed — [wake-publish] rider: runs after Remove, once this
+      // registration has ended; the count's RMW order keeps every other
+      // waiter's raise standing, and a writer that still reads this raise
+      // only opens the gate for nothing.
+      GateCount(GateBucketOf(orecs[i])).fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
 
   // Registers tid under the shard of each given orec (duplicates collapse).
   // An empty orec list falls back to AddGlobal: an empty shard set would never
@@ -409,6 +484,9 @@ class WakeIndex {
     IndexSegment& seg = SegmentFor(si);
     const int rel = tid & (kCondSyncSegmentSize - 1);
     seg.per_tid_global[rel] = 1;
+    // mo: release — [wake-publish]: the global count is raised before the
+    // insert below, so before the registration commit, like RaiseGate.
+    global_waiters_.fetch_add(1, std::memory_order_release);
     // mo: release — [wake-publish]: an all-ones fingerprint passes every
     // filter, so a writer whose shard pass still emits this tid from an
     // earlier indexed registration never filters this one out.
@@ -460,7 +538,29 @@ class WakeIndex {
            clear) == 0) {
         RepairSummary(num_shards_, si);
       }
+      // mo: relaxed — [wake-publish] rider: same argument as LowerGate.
+      global_waiters_.fetch_sub(1, std::memory_order_relaxed);
     }
+  }
+
+  // Writer side, first step: false when no registered waiter can be waiting
+  // on any of the written orecs — the global count and every written orec's
+  // bucket read zero — so the caller may skip the shard scan entirely. Only
+  // sound for a commit's complete write set, read after its commit RMW.
+  bool GateOpen(const Orec* const* orecs, std::size_t n) const {
+    // mo: acquire — [wake-publish]: ordered after the writer's commit RMW;
+    // pairs with AddGlobal's release raise.
+    if (global_waiters_.load(std::memory_order_acquire) != 0) {
+      return true;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      // mo: acquire — [wake-publish]: same pairing, with RaiseGate.
+      if (GateCount(GateBucketOf(orecs[i])).load(std::memory_order_acquire) !=
+          0) {
+        return true;
+      }
+    }
+    return false;
   }
 
   // Writer side, two-phase: BuildShardSet folds a write set's orecs into a
@@ -666,15 +766,26 @@ class WakeIndex {
   int ShardPopulation(int s) const;
   int GlobalPopulation() const;
 
-  // True iff no shard word, global word, or per-shard summary bit is set
-  // (leak detector). Same precondition as the population accessors: only
-  // meaningful once every waiter thread's final Remove has been ordered
-  // before this call (thread join); a mid-run call may race registrations
-  // and flicker.
+  // Waiters counted on orec bucket b / on the global list (same precondition
+  // as the population accessors).
+  std::uint32_t GateCountAt(int b) const {
+    // mo: acquire — [wake-publish]: introspection, like ShardPopulation.
+    return GateCount(b).load(std::memory_order_acquire);
+  }
+  std::uint32_t GlobalWaiterCount() const {
+    // mo: acquire — [wake-publish]: introspection, like GlobalPopulation.
+    return global_waiters_.load(std::memory_order_acquire);
+  }
+
+  // True iff no shard word, global word, per-shard summary bit, gate count
+  // or global count is set (leak detector). Same precondition as the
+  // population accessors: only meaningful once every waiter thread's final
+  // Remove has been ordered before this call (thread join); a mid-run call
+  // may race registrations and flicker.
   bool Empty() const;
 
   // Bytes currently committed to this index: the directory, the per-shard
-  // summaries, and every allocated segment's slabs. Feeds the
+  // summaries, the gate, and every allocated segment's slabs. Feeds the
   // memory-per-waiter metric.
   std::size_t FootprintBytes() const;
 
@@ -740,11 +851,25 @@ class WakeIndex {
   // (waiter side); reports the publication to the protocol checker.
   IndexSegment& SegmentFor(int si);
 
+  std::atomic_ref<std::uint32_t> GateCount(int b) const {
+    return std::atomic_ref<std::uint32_t>(gate_[static_cast<std::size_t>(b)]);
+  }
+
+  struct FreeDeleter {
+    void operator()(std::uint32_t* p) const { std::free(p); }
+  };
+
   int capacity_;
   int num_shards_;
   int shards_log2_;
   int shard_words_;
   int summary_words_;
+  int gate_log2_;
+  // 2^gate_log2_ counts from calloc: zero pages, faulted in only where a
+  // waiter counts, and accessed only through GateCount's atomic_ref.
+  std::unique_ptr<std::uint32_t[], FreeDeleter> gate_;
+  // Waiters on the global list. Its own line: every gated commit reads it.
+  alignas(kCacheLineBytes) std::atomic<std::uint32_t> global_waiters_{0};
   SegmentDirectory<IndexSegment> dir_;
   // (num_shards_ + 1) rows of summary_words_ words; see SummaryWord.
   std::unique_ptr<std::atomic<std::uint64_t>[]> summary_;

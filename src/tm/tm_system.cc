@@ -75,8 +75,10 @@ TmSystem::TmSystem(const TmConfig& config)
   descs_.resize(static_cast<std::size_t>(cfg_.max_threads));
   waiters_ = std::make_unique<WaiterRegistry>(cfg_.max_threads);
   retry_orig_ = std::make_unique<RetryOrigRegistry>(cfg_.max_threads);
-  wake_index_ =
-      std::make_unique<WakeIndex>(cfg_.max_threads, cfg_.wake_index_shards);
+  wake_index_ = std::make_unique<WakeIndex>(
+      cfg_.max_threads, cfg_.wake_index_shards,
+      static_cast<int>(std::min<std::size_t>(WakeIndex::kMaxGateLog2,
+                                             cfg_.orec_table_log2)));
   if (cfg_.timer_wheel) {
     wheel_ = std::make_unique<TimerWheel>(
         static_cast<std::uint64_t>(cfg_.timer_wheel_tick_us) * 1000);
@@ -946,6 +948,8 @@ void TmSystem::SnapshotMetrics(JsonWriter& w, std::size_t top_n_orecs) const {
   // Pre-park spin outcomes (deschedule.cc), beside the sleeps they replace.
   w.Key("spin_wakeups").U64(snap.stats.Get(Counter::kSpinWakeups));
   w.Key("spin_misses").U64(snap.stats.Get(Counter::kSpinMisses));
+  // Writer wake passes the counting gate ended at one load per written orec.
+  w.Key("wake_gate_skips").U64(snap.stats.Get(Counter::kWakeGateSkips));
   w.EndObject();
   w.Key("timer_wheel").BeginObject();
   w.Key("enabled").Bool(snap.wheel_enabled);

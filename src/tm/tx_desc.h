@@ -157,6 +157,11 @@ struct TxDesc {
   // allocates nothing while waiters are registered.
   std::vector<const Orec*> commit_orecs;
 
+  // The orecs of the waitset a registration publishes (waiter side, reused
+  // wait to wait): they feed the index inserts, and the same list lowers the
+  // gate counts again once the wait deregisters.
+  std::vector<const Orec*> wait_orecs;
+
   // --- wakeWaiters scratch (writer side, reused commit to commit) ---
   // The write set's wake-index shard-set bitmap (shard_words() words), built
   // once per wake pass into this cached buffer instead of a per-call stack

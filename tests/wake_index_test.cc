@@ -3,8 +3,9 @@
 // is a multi-word bitmap, not one word), targeted-wake correctness across all
 // three backends at 64 and 1024 shards, no lost wakeups with many disjoint
 // waiters, leak-freedom under concurrent register/deregister/timeout churn,
-// the empty-waitset global fallback, waitset pruning, and the OrElse
-// partial-rollback orec release. ManyWaitersChurn doubles as the TSan run of
+// the empty-waitset global fallback, waitset pruning, the OrElse
+// partial-rollback orec release, and the counting gate ahead of the shard
+// scan (WakeGateTest). ManyWaitersChurn doubles as the TSan run of
 // the many-waiters ablation (CI runs this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/common/cpu.h"
 #include "src/condsync/waiter_registry.h"
 #include "src/condsync/wake_index.h"
 #include "src/core/runtime.h"
@@ -535,28 +537,60 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- waitset fingerprints and per-shard segment summaries ---
 
-// Two cells in distinct orecs of the same wake-index shard. With `colliding`
-// the second orec's fingerprint bits lie inside the first's, so the filter
-// cannot tell them apart; without, it can.
+// One cell per orec granule (8 bytes on the STMs, a 64-byte line on
+// sim-HTM), as many as the orec table has entries, so nearly every orec of
+// the table covers a cell.
+class GranuleCells {
+ public:
+  // `tables` > 1 lays out that many table sizes of granules, so some cells
+  // share an orec.
+  explicit GranuleCells(TmSystem& sys, int tables = 1)
+      : stride_(sys.orecs().granularity_bytes() / sizeof(TVar<std::uint64_t>)),
+        size_(static_cast<int>(sys.orecs().size()) * tables),
+        vars_(std::make_unique<TVar<std::uint64_t>[]>(
+            static_cast<std::size_t>(size_) * stride_)) {}
+  int size() const { return size_; }
+  TVar<std::uint64_t>& operator[](int i) {
+    return vars_[static_cast<std::size_t>(i) * stride_];
+  }
+
+ private:
+  std::size_t stride_;
+  int size_;
+  std::unique_ptr<TVar<std::uint64_t>[]> vars_;
+};
+
+// Two cells in distinct orecs of the same wake-index shard and the same gate
+// bucket, so the writer's commit passes the counting gate and reaches the
+// fingerprint filter. With `colliding` the second orec's fingerprint bits lie
+// inside the first's, so the filter cannot tell them apart; without, it can.
 struct CellPair {
   int waited = -1;
   int written = -1;
 };
 
-CellPair FindShardAliases(TmSystem& sys, const PaddedCell* cells, int n,
-                          bool colliding) {
-  for (int a = 0; a < n; ++a) {
-    const Orec* oa = &sys.orecs().For(cells[a].v.word());
-    for (int b = 0; b < n; ++b) {
-      const Orec* ob = &sys.orecs().For(cells[b].v.word());
-      if (oa == ob ||
-          sys.wake_index().ShardOf(oa) != sys.wake_index().ShardOf(ob)) {
-        continue;
-      }
-      const std::uint64_t fb = WakeIndex::FingerprintOf(ob);
-      if (WakeIndex::MayOverlap(WakeIndex::FingerprintOf(oa), &fb, 1) ==
-          colliding) {
-        return {a, b};
+CellPair FindShardAliases(TmSystem& sys, GranuleCells& cells, bool colliding) {
+  const WakeIndex& idx = sys.wake_index();
+  std::vector<std::vector<int>> by_bucket(
+      static_cast<std::size_t>(idx.gate_buckets()));
+  for (int c = 0; c < cells.size(); ++c) {
+    by_bucket[static_cast<std::size_t>(
+                  idx.GateBucketOf(&sys.orecs().For(cells[c].word())))]
+        .push_back(c);
+  }
+  for (const std::vector<int>& bucket : by_bucket) {
+    for (int a : bucket) {
+      const Orec* oa = &sys.orecs().For(cells[a].word());
+      for (int b : bucket) {
+        const Orec* ob = &sys.orecs().For(cells[b].word());
+        if (oa == ob || idx.ShardOf(oa) != idx.ShardOf(ob)) {
+          continue;
+        }
+        const std::uint64_t fb = WakeIndex::FingerprintOf(ob);
+        if (WakeIndex::MayOverlap(WakeIndex::FingerprintOf(oa), &fb, 1) ==
+            colliding) {
+          return {a, b};
+        }
       }
     }
   }
@@ -566,23 +600,28 @@ CellPair FindShardAliases(TmSystem& sys, const PaddedCell* cells, int n,
 class FingerprintFilterTest : public ::testing::TestWithParam<Backend> {
  protected:
   // One shard: every waiter aliases every writer, so only the fingerprint
-  // separates them.
-  TmConfig Config() const { return ConfigFor(GetParam(), true, 1); }
+  // separates them. A 2^15-orec table (2^15 gate buckets) gives ~30
+  // fingerprint-colliding orec pairs that share a bucket; 2^12 gave ~3.
+  TmConfig Config() const {
+    TmConfig cfg = ConfigFor(GetParam(), true, 1);
+    cfg.orec_table_log2 = 15;
+    return cfg;
+  }
 };
 
-// A waiter that merely shares a shard with a hot writer's cell costs that
-// writer no wake check at all: the fingerprint drops it before any claim.
+// A waiter that merely shares a shard (and a gate bucket) with a hot writer's
+// cell costs that writer no wake check at all: the fingerprint drops it
+// before any claim.
 TEST_P(FingerprintFilterTest, AliasedWaiterCostsNoWakeChecks) {
-  constexpr int kCells = 256;
   constexpr std::uint64_t kCommits = 100;
   Runtime rt(Config());
-  auto cells = std::make_unique<PaddedCell[]>(kCells);
-  const CellPair p = FindShardAliases(rt.sys(), cells.get(), kCells, false);
-  ASSERT_GE(p.waited, 0) << "no fingerprint-distinct orec pair among "
-                         << kCells << " cells";
+  GranuleCells cells(rt.sys());
+  const CellPair p = FindShardAliases(rt.sys(), cells, false);
+  ASSERT_GE(p.waited, 0) << "no fingerprint-distinct orec pair in a bucket "
+                         << "among " << cells.size() << " cells";
   std::thread waiter([&] {
     Atomically(rt.sys(), [&](Tx& tx) {
-      if (tx.Load(cells[p.waited].v) == 0) {
+      if (tx.Load(cells[p.waited]) == 0) {
         tx.Retry();
       }
     });
@@ -590,14 +629,14 @@ TEST_P(FingerprintFilterTest, AliasedWaiterCostsNoWakeChecks) {
   AwaitCounter(rt, Counter::kSleeps, 1);
   rt.ResetStats();
   for (std::uint64_t i = 1; i <= kCommits; ++i) {
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[p.written].v, i); });
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[p.written], i); });
   }
   const TxStats s = rt.AggregateStats();
   EXPECT_EQ(s.Get(Counter::kWakeChecks), 0u);
   EXPECT_EQ(s.Get(Counter::kWakeFingerprintSkips), kCommits);
   EXPECT_EQ(s.Get(Counter::kWakeups), 0u);
   Atomically(rt.sys(), [&](Tx& tx) {
-    tx.Store(cells[p.waited].v, std::uint64_t{1});
+    tx.Store(cells[p.waited], std::uint64_t{1});
   });
   waiter.join();
   EXPECT_TRUE(rt.sys().wake_index().Empty());
@@ -607,16 +646,15 @@ TEST_P(FingerprintFilterTest, AliasedWaiterCostsNoWakeChecks) {
 // collide with the writer's still gets its (failing) wake check, and its own
 // cell's write still wakes it exactly once.
 TEST_P(FingerprintFilterTest, CollidingFingerprintStillWakesExactlyOnce) {
-  constexpr int kCells = 512;
   constexpr std::uint64_t kCommits = 50;
   Runtime rt(Config());
-  auto cells = std::make_unique<PaddedCell[]>(kCells);
-  const CellPair p = FindShardAliases(rt.sys(), cells.get(), kCells, true);
-  ASSERT_GE(p.waited, 0) << "no fingerprint-colliding orec pair among "
-                         << kCells << " cells";
+  GranuleCells cells(rt.sys());
+  const CellPair p = FindShardAliases(rt.sys(), cells, true);
+  ASSERT_GE(p.waited, 0) << "no fingerprint-colliding orec pair in a bucket "
+                         << "among " << cells.size() << " cells";
   std::thread waiter([&] {
     Atomically(rt.sys(), [&](Tx& tx) {
-      if (tx.Load(cells[p.waited].v) == 0) {
+      if (tx.Load(cells[p.waited]) == 0) {
         tx.Retry();
       }
     });
@@ -624,14 +662,14 @@ TEST_P(FingerprintFilterTest, CollidingFingerprintStillWakesExactlyOnce) {
   AwaitCounter(rt, Counter::kSleeps, 1);
   rt.ResetStats();
   for (std::uint64_t i = 1; i <= kCommits; ++i) {
-    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[p.written].v, i); });
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[p.written], i); });
   }
   TxStats s = rt.AggregateStats();
   EXPECT_EQ(s.Get(Counter::kWakeChecks), kCommits);
   EXPECT_EQ(s.Get(Counter::kWakeFingerprintSkips), 0u);
   EXPECT_EQ(s.Get(Counter::kWakeups), 0u);
   Atomically(rt.sys(), [&](Tx& tx) {
-    tx.Store(cells[p.waited].v, std::uint64_t{1});
+    tx.Store(cells[p.waited], std::uint64_t{1});
   });
   waiter.join();
   s = rt.AggregateStats();
@@ -697,6 +735,249 @@ TEST_P(FingerprintFilterTest, SegmentSummaryChurnLosesNoWakeup) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FingerprintFilterTest,
+                         ::testing::Values(Backend::kEagerStm,
+                                           Backend::kLazyStm,
+                                           Backend::kSimHtm),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return BackendTestName(info.param);
+                         });
+
+// --- the counting gate ---
+
+class WakeGateTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  TmConfig Config() const { return ConfigFor(GetParam()); }
+};
+
+// A writer whose orecs miss every gate bucket a parked waiter counts on is
+// stopped by the gate: no wake check, no fingerprint test, no wakeup.
+TEST_P(WakeGateTest, WriterMissingEveryWaitedBucketDoesNoWakeWork) {
+  constexpr int kWaiters = 8;
+  constexpr std::uint64_t kCommits = 100;
+  Runtime rt(Config());
+  GranuleCells cells(rt.sys());
+  const WakeIndex& idx = rt.sys().wake_index();
+  auto bucket_of = [&](int c) {
+    return idx.GateBucketOf(&rt.sys().orecs().For(cells[c].word()));
+  };
+  std::vector<int> waited_buckets;
+  for (int w = 0; w < kWaiters; ++w) {
+    waited_buckets.push_back(bucket_of(w));
+  }
+  int written = -1;
+  for (int c = kWaiters; c < cells.size() && written < 0; ++c) {
+    if (std::find(waited_buckets.begin(), waited_buckets.end(),
+                  bucket_of(c)) == waited_buckets.end()) {
+      written = c;
+    }
+  }
+  ASSERT_GE(written, 0) << "every cell shares a bucket with a waiter";
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&, w] {
+      Atomically(rt.sys(), [&](Tx& tx) {
+        if (tx.Load(cells[w]) == 0) {
+          tx.Retry();
+        }
+      });
+    });
+  }
+  AwaitCounter(rt, Counter::kSleeps, kWaiters);
+  for (int b : waited_buckets) {
+    EXPECT_GE(idx.GateCountAt(b), 1u) << "a parked waiter is not counted";
+  }
+  rt.ResetStats();
+  for (std::uint64_t i = 1; i <= kCommits; ++i) {
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[written], i); });
+  }
+  const TxStats s = rt.AggregateStats();
+  EXPECT_EQ(s.Get(Counter::kWakeGateSkips), kCommits);
+  EXPECT_EQ(s.Get(Counter::kWakeChecks), 0u);
+  EXPECT_EQ(s.Get(Counter::kWakeFingerprintSkips), 0u);
+  EXPECT_EQ(s.Get(Counter::kWakeups), 0u);
+  for (int w = 0; w < kWaiters; ++w) {
+    Atomically(rt.sys(), [&](Tx& tx) { tx.Store(cells[w], std::uint64_t{1}); });
+  }
+  for (auto& t : waiters) {
+    t.join();
+  }
+  EXPECT_TRUE(idx.Empty());
+}
+
+// A registration races a commit to its own cell, round after round, with the
+// commit jittered across the waiter's unwind and registration. The waits are
+// timed, so they never spin (the registration transaction is the only place
+// that can see the write) and a lost wakeup shows up as a wait that ran out
+// its deadline instead of a hang.
+TEST_P(WakeGateTest, RegistrationRacingACommitLosesNoWakeup) {
+  constexpr int kRounds = 1000;
+  constexpr auto kDeadline = std::chrono::seconds(1);
+  Runtime rt(Config());
+  PaddedCell cell;
+  std::atomic<int> started{0};
+  std::atomic<int> lost_round{0};
+  std::thread waiter([&] {
+    for (int r = 1; r <= kRounds; ++r) {
+      // mo: release — [harness] publish state to other harness threads.
+      started.store(r, std::memory_order_release);
+      const auto t0 = std::chrono::steady_clock::now();
+      Atomically(rt.sys(), [&](Tx& tx) {
+        if (tx.Load(cell.v) < static_cast<std::uint64_t>(r)) {
+          (void)tx.RetryFor(kDeadline);
+        }
+      });
+      if (std::chrono::steady_clock::now() - t0 >= kDeadline) {
+        // mo: release — [harness] publish state to other harness threads.
+        lost_round.store(r, std::memory_order_release);
+        // mo: release — [harness] publish state to other harness threads.
+        started.store(kRounds + 1, std::memory_order_release);
+        return;
+      }
+    }
+    // mo: release — [harness] publish state to other harness threads.
+    started.store(kRounds + 1, std::memory_order_release);
+  });
+  for (int r = 1; r <= kRounds; ++r) {
+    // mo: acquire — [harness] observe worker-published state.
+    while (started.load(std::memory_order_acquire) < r) {
+      CpuRelax();
+    }
+    // mo: acquire — [harness] observe worker-published state.
+    if (lost_round.load(std::memory_order_acquire) != 0) {
+      break;
+    }
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds((r * 37) % 32);
+    while (std::chrono::steady_clock::now() < until) {
+      CpuRelax();
+    }
+    Atomically(rt.sys(), [&](Tx& tx) {
+      tx.Store(cell.v, static_cast<std::uint64_t>(r));
+    });
+  }
+  waiter.join();
+  // mo: acquire — [harness] observe worker-published state.
+  EXPECT_EQ(lost_round.load(std::memory_order_acquire), 0)
+      << "a committed write never woke the waiter registered before it";
+  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_TRUE(rt.sys().wake_index().Empty());
+}
+
+// Timed waits, OrElse waits whose union waitset names one orec twice, and
+// WaitPred waits (global list) churn against a writer. Once every thread has
+// joined, each gate count and the global count are back to zero.
+TEST_P(WakeGateTest, ChurnLeavesTheGateDrained) {
+  constexpr int kTimed = 4;
+  constexpr int kOrElse = 2;
+  constexpr int kPred = 2;
+  constexpr int kRounds = 40;
+  Runtime rt(Config());
+  // Twice the table's granules: some two cells share an orec.
+  GranuleCells cells(rt.sys(), 2);
+  int twin_a = -1;
+  int twin_b = -1;
+  {
+    std::vector<int> first(rt.sys().orecs().size(), -1);
+    for (int c = 0; c < cells.size() && twin_b < 0; ++c) {
+      int& f = first[rt.sys().orecs().IndexOf(
+          &rt.sys().orecs().For(cells[c].word()))];
+      if (f >= 0) {
+        twin_a = f;
+        twin_b = c;
+      }
+      f = c;
+    }
+  }
+  ASSERT_GE(twin_b, 0) << "no two cells share an orec";
+  // Cells 0..kTimed-1 for timed waiters, kTimed.. for WaitPred waiters.
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    std::uint64_t i = 0;
+    // mo: acquire — [harness] observe worker-published state.
+    while (!stop.load(std::memory_order_acquire)) {
+      const int target = static_cast<int>(i % (kTimed + kPred + 2));
+      TVar<std::uint64_t>& v =
+          target < kTimed + kPred ? cells[target]
+                                  : cells[target == kTimed + kPred ? twin_a
+                                                                   : twin_b];
+      Atomically(rt.sys(), [&](Tx& tx) { tx.Store(v, tx.Load(v) + 1); });
+      ++i;
+      std::this_thread::sleep_for(std::chrono::microseconds(150));
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kTimed; ++t) {
+    threads.emplace_back([&, t] {
+      std::uint64_t last = 0;
+      for (int r = 0; r < kRounds; ++r) {
+        last = Atomically(rt.sys(), [&](Tx& tx) -> std::uint64_t {
+          const std::uint64_t cur = tx.Load(cells[t]);
+          if (cur == last) {
+            (void)tx.RetryFor(std::chrono::microseconds(50 + (r % 7) * 100));
+          }
+          return cur;
+        });
+      }
+    });
+  }
+  for (int t = 0; t < kOrElse; ++t) {
+    threads.emplace_back([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        const auto timeout = std::chrono::microseconds(100 + (r % 5) * 100);
+        Atomically(rt.sys(), [&](Tx& tx) {
+          const std::uint64_t a = tx.Load(cells[twin_a]);
+          const std::uint64_t b = tx.Load(cells[twin_b]);
+          tx.OrElse(
+              [&](Tx& t1) {
+                if (t1.Load(cells[twin_a]) == a) {
+                  t1.Retry();
+                }
+              },
+              [&](Tx& t2) {
+                if (t2.Load(cells[twin_b]) == b) {
+                  (void)t2.RetryFor(timeout);
+                }
+              });
+        });
+      }
+    });
+  }
+  for (int t = 0; t < kPred; ++t) {
+    threads.emplace_back([&, t] {
+      TVar<std::uint64_t>& v = cells[kTimed + t];
+      for (int r = 0; r < kRounds; ++r) {
+        Atomically(rt.sys(), [&](Tx& tx) {
+          WaitArgs args;
+          args.v[0] = reinterpret_cast<TmWord>(&v);
+          args.v[1] = tx.Load(v) + 1;
+          args.n = 2;
+          (void)tx.WaitPredFor(&CellAtLeastPred, args,
+                               std::chrono::microseconds(100 + (r % 3) * 200));
+        });
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  // mo: release — [harness] publish state to other harness threads.
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  const TxStats s = rt.AggregateStats();
+  EXPECT_GT(s.Get(Counter::kIndexedDeschedules), 0u);
+  EXPECT_GT(s.Get(Counter::kGlobalDeschedules), 0u);
+  const WakeIndex& idx = rt.sys().wake_index();
+  int counted = 0;
+  for (int b = 0; b < idx.gate_buckets(); ++b) {
+    counted += idx.GateCountAt(b) != 0 ? 1 : 0;
+  }
+  EXPECT_EQ(counted, 0) << "a gate bucket kept a count past every wait";
+  EXPECT_EQ(idx.GlobalWaiterCount(), 0u);
+  EXPECT_EQ(rt.sys().waiters().RegisteredCount(), 0);
+  EXPECT_TRUE(idx.Empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, WakeGateTest,
                          ::testing::Values(Backend::kEagerStm,
                                            Backend::kLazyStm,
                                            Backend::kSimHtm),
