@@ -29,6 +29,9 @@
 // throw between the writer's commit and the waiter's re-execution. Unwinding first moves it
 // into the time the thread waits anyway. A spin miss goes straight on to
 // registration and park from the same place, with no extra body execution.
+// For the same reason a thread whose last transaction waited through Retry
+// keeps retry logging on (TxDesc::retry_logging), so its next Retry wait
+// costs this one restart and not a logging restart before it.
 // Nothing the wait uses lives in the body's frames: findChanges waits point
 // at TxDesc::waitset, and WaitPred's WaitArgs are copied by value (no caller
 // passes a pointer into the body's own frame; allocations the arguments may
@@ -37,16 +40,29 @@
 // Spin before parking. When a wait lasts a few microseconds (a capacity-1
 // hand-off), registering, indexing, parking, the writer's wake claim and the
 // deregistration buy nothing. So an untimed findChanges wait (Retry, Await)
-// whose thread has recently seen short waits first polls the orec word of
-// each waitset entry for up to kSpinBudgetNs, after the unwind and before
-// anything is published. If one publishes a version newer than the attempt's
-// snapshot, the thread re-executes at once, and no writer ever sees it
-// waiting. The spin is advisory: it reads only orec words (the orec table is
-// static, so there is no privatization hazard and nothing to register with
-// quiescence), it can miss a change (sim-HTM serial writers bypass orecs),
-// and when its budget runs out the registration transaction below runs
-// unchanged and stays the only place that decides to sleep. The
+// whose thread has recently seen short waits first polls the word of each
+// waitset entry for up to kSpinBudgetNs, after the unwind and before
+// anything is published. If one differs from its logged value, the thread
+// re-executes at once, and no writer ever sees it waiting. It compares
+// values, the findChanges predicate itself, not orec versions: a commit that
+// rewrites a waited word with the value it had (an orec bump, nothing to
+// see) does not end the spin, a sim-HTM serial writer, which bumps no orec,
+// does, and the waiter's own eager rollback restores exactly the logged
+// pre-transaction values, so it is no change either. The spin is advisory:
+// it can miss a change (a value that changes and changes back between two
+// polls), it can take an eager writer's in-place store that later rolls back
+// for one (which costs a re-execution, nothing more), and when its budget
+// runs out the registration transaction below
+// runs unchanged and stays the only place that decides to sleep. The
 // no-lost-wakeup argument is therefore untouched.
+//
+// Memory contract. The spin loads the waitset's words outside any
+// transaction, with no quiescence slot, so a pending wait's waitset words
+// must stay readable until the wait ends. A writer's wake check already
+// relies on the same for a parked waiter (TryCasWakeClaim, the batched wake
+// transactions); the words are transactional data the waiter read, and
+// allocations the transaction made stay alive until after the wait
+// (TxMallocLog::DeferForDeschedule).
 //
 // Which waits spin is decided per thread by TxDesc::spin_before_park (set by
 // a park that ended within kSpinRearmNs or by a spin that saw a change,
@@ -84,19 +100,18 @@ constexpr std::uint64_t kSpinBudgetNs = 20'000;
 // have caught can still park for somewhat longer than the budget.
 constexpr std::uint64_t kSpinRearmNs = 2 * kSpinBudgetNs;
 
-// Polls the orec of every waitset entry until one is unlocked at a version
-// past `floor` (true) or the budget has run out (false). Each round yields
-// the CPU, so a writer queued on this CPU (oversubscribed threads, or a
-// sim-HTM writer waiting out the serial section this thread just left)
-// commits during the spin instead of after it.
-bool SpinForWaitsetChange(OrecTable& orecs, const WaitSet& ws,
-                          std::uint64_t floor, std::uint64_t start_ns) {
+// Polls the word of every waitset entry until one differs from its logged
+// value (true) or the budget has run out (false). Each round yields the CPU,
+// so a writer queued on this CPU (oversubscribed threads, or a sim-HTM
+// writer waiting out the serial section this thread just left) commits
+// during the spin instead of after it.
+bool SpinForWaitsetChange(const WaitSet& ws, std::uint64_t start_ns) {
   for (;;) {
     for (const WaitSet::Entry& e : ws.entries()) {
-      // mo: acquire — pairs with [orec-publish]; advisory only: a seen
-      // version restarts the transaction, whose own reads validate again.
-      std::uint64_t w = orecs.For(e.addr).word.load(std::memory_order_acquire);
-      if (!Orec::IsLocked(w) && Orec::Version(w) > floor) {
+      // mo: acquire — pairs with a committer's release store of the data
+      // word; advisory only: a seen change restarts the transaction, whose
+      // own reads validate again, and a miss goes on to registration.
+      if (LoadWordAcquire(e.addr) != e.val) {
         return true;
       }
     }
@@ -159,10 +174,6 @@ void TmSystem::DescheduleImpl(WaitPredFn fn, const WaitArgs& args, bool timed) {
   w.fn = fn;
   w.args = args;
   w.timed = timed;
-  // Versions up to the attempt's start are its own snapshot. On eager STM the
-  // rollback below also republishes each orec this attempt locked at its
-  // pre-lock version + 1 (never past start + 1), which is no change either.
-  w.spin_floor = d.locks.empty() ? d.start : d.start + 1;
 
   // Figure 2.1, time 1: undo all effects. Memory is now indistinguishable from
   // the transaction never having run; only the thread's published precondition
@@ -186,7 +197,7 @@ void TmSystem::RunPendingWait(TxDesc& d) {
 
   if (spin_kind && d.spin_before_park) {
     const std::uint64_t spin_start_ns = ObsNowNs();
-    if (SpinForWaitsetChange(orecs_, *ws, w.spin_floor, spin_start_ns)) {
+    if (SpinForWaitsetChange(*ws, spin_start_ns)) {
       d.stats.Bump(Counter::kSpinWakeups);
       if (cfg_.latency_metrics) {
         d.obs.wait_duration.Record(ObsNowNs() - spin_start_ns);

@@ -133,6 +133,12 @@ void SimHtm::BeginTx(TxDesc& d) {
     return;
   }
   d.htm_serial = false;
+  if (!d.internal) {
+    // Hardware attempts never log reads, so logging carried from the last
+    // transaction's wait ends here; this attempt's Retry switches to software
+    // mode with logging on (SwitchToSoftwareMode).
+    d.retry_logging = false;
+  }
   // A hardware transaction cannot start while a serial transaction runs.
   // mo: seq_cst — [serial-token]: poll the token in the same total order
   // EnterSerial/ExitSerial store it in.
@@ -168,39 +174,46 @@ TmWord SimHtm::ReadWord(TxDesc& d, const TmWord* addr) {
     // Serial-irrevocable software mode: direct access, no concurrency.
     return LoadWordAcquire(addr);
   }
-  if (SerialInterference(d)) {
-    HwAbort(d, Counter::kHtmConflictAborts, AbortCause::kHtmConflict);
-  }
   TmWord v;
   if (d.redo.Lookup(addr, &v)) {
-    return v;
+    return v;  // this attempt's own buffered write: nothing shared is read
   }
   Orec& line = orecs_.For(addr);
   // mo: acquire — pairs with the committer's release store [orec-publish];
   // seeing an unlocked line version makes the written-back data visible.
   std::uint64_t w1 = line.word.load(std::memory_order_acquire);
   if (Orec::IsLocked(w1)) {
-    if (Orec::Owner(w1) == d.tid) {
-      // Line owned by us but this word not in the redo log: memory is clean.
-      return LoadWordAcquire(addr);
+    if (Orec::Owner(w1) != d.tid) {
+      // Requester loses: encountering another transaction's line aborts us,
+      // the eager behavior that makes HTM abort on read-write conflicts lazy
+      // STM tolerates (§2.4.1).
+      HwAbort(d, Counter::kHtmConflictAborts, AbortCause::kHtmConflict, &line);
     }
-    // Requester loses: encountering another transaction's line aborts us, the
-    // eager behavior that makes HTM abort on read-write conflicts lazy STM
-    // tolerates (§2.4.1).
-    HwAbort(d, Counter::kHtmConflictAborts, AbortCause::kHtmConflict, &line);
-  }
-  v = LoadWordAcquire(addr);
-  // mo: acquire — re-check leg of the sample/read/re-check snapshot; pairs
-  // with [orec-publish] so a w1==w2 match proves no release intervened.
-  std::uint64_t w2 = line.word.load(std::memory_order_acquire);
-  if (w1 != w2 || Orec::Version(w1) > d.start) {
-    HwAbort(d, Counter::kHtmConflictAborts, AbortCause::kHtmConflict, &line);
-  }
-  if (d.reads.empty() || d.reads.back() != &line) {
-    d.reads.push_back(&line);
-    if (d.reads.size() > cfg_.htm_read_capacity_lines) {
-      HwAbort(d, Counter::kHtmCapacityAborts, AbortCause::kHtmCapacity);
+    // Line owned by us but this word not in the redo log: memory is clean.
+    v = LoadWordAcquire(addr);
+  } else {
+    v = LoadWordAcquire(addr);
+    // mo: acquire — re-check leg of the sample/read/re-check snapshot; pairs
+    // with [orec-publish] so a w1==w2 match proves no release intervened.
+    std::uint64_t w2 = line.word.load(std::memory_order_acquire);
+    if (w1 != w2 || Orec::Version(w1) > d.start) {
+      HwAbort(d, Counter::kHtmConflictAborts, AbortCause::kHtmConflict, &line);
     }
+    if (d.reads.empty() || d.reads.back() != &line) {
+      d.reads.push_back(&line);
+      if (d.reads.size() > cfg_.htm_read_capacity_lines) {
+        HwAbort(d, Counter::kHtmCapacityAborts, AbortCause::kHtmCapacity);
+      }
+    }
+  }
+  // Serial writers bypass orecs, so the serial-token subscription is checked
+  // after the load, not before it: a value a serial section stored is
+  // ordered after that section's serial_seq_ increment, which this check
+  // then sees. Checked before the load, a section that began in between
+  // could hand the attempt a half-written state, and a read-only commit,
+  // which checks nothing, would return it.
+  if (SerialInterference(d)) {
+    HwAbort(d, Counter::kHtmConflictAborts, AbortCause::kHtmConflict);
   }
   return v;
 }

@@ -127,6 +127,8 @@ TxDesc& TmSystem::RegisterThread() {
     // Clear any stale wake/timeout token left by a racing waker (or a late
     // wheel fire) after the previous owner of this slot had already woken.
     d->park.Reset();
+    // Retry logging carried from the previous owner's last wait is not ours.
+    d->retry_logging = false;
   } else {
     TCS_CHECK_MSG(next_tid_ < cfg_.max_threads,
                   "too many threads for this TM domain");
@@ -321,7 +323,12 @@ void TmSystem::ClearAccessSets(TxDesc& d) {
 void TmSystem::ResetDescAfterTx(TxDesc& d) {
   ClearAccessSets(d);
   d.waitset.Clear();
-  d.retry_logging = false;
+  // Carry retry logging into the thread's next transaction only when this
+  // one waited through Retry: a thread whose waits repeat (a consumer, a
+  // producer on a full buffer) saves the logging restart, one C++ throw, on
+  // every later wait, and a transaction that did not wait clears it again.
+  d.retry_logging = d.retry_waited;
+  d.retry_waited = false;
   d.orelse_alts = 0;
   d.deadlines.clear();
   d.wait_keys_this_attempt.clear();
@@ -540,12 +547,14 @@ void TmSystem::Retry() {
     SwitchToSoftwareMode(d, /*enable_retry_logging=*/true);
   }
   if (!d.retry_logging) {
-    // First encounter (Algorithm 5): restart so the re-execution logs an
-    // ⟨addr, value⟩ pair on every read, making the waitset expressible.
+    // First encounter (Algorithm 5), and the thread's previous transaction
+    // did not wait: restart so the re-execution logs an ⟨addr, value⟩ pair
+    // on every read, making the waitset expressible.
     d.retry_logging = true;
     d.skip_backoff = true;
     AbortCurrent(d, Counter::kRetryRestarts, AbortCause::kRetrySetup);
   }
+  d.retry_waited = true;
   WaitArgs args;
   args.v[0] = reinterpret_cast<TmWord>(&d.waitset);
   args.n = 1;

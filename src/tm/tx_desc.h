@@ -100,10 +100,18 @@ struct TxDesc {
 
   // --- condition synchronization (Algorithms 4-7) ---
   WaitSet waitset;
-  bool retry_logging = false;  // the paper's is_retry: log ⟨addr,value⟩ on every read
+  // The paper's is_retry: log ⟨addr,value⟩ on every read. Set by the first
+  // Retry of a transaction, which restarts once to turn it on (kRetrySetup).
+  // A transaction that waited through untimed Retry leaves it on for the
+  // thread's next transaction (retry_waited, ResetDescAfterTx), whose Retry
+  // then deschedules at once; one that commits without waiting clears it.
+  // Sim-HTM hardware attempts never log: their Retry switches to software
+  // mode with logging on.
+  bool retry_logging = false;
+  bool retry_waited = false;   // this transaction descheduled through Retry
   ParkSpot park;               // per-thread futex parking place
   bool woke_from_sleep = false;
-  // Whether the next untimed findChanges wait spins on its waitset orecs
+  // Whether the next untimed findChanges wait spins on its waitset words
   // before registering (RunPendingWait). Set when an untimed park ended in a
   // wakeup shortly after it began, or when a spin saw a change; cleared when
   // a spin runs out its budget.
@@ -117,7 +125,6 @@ struct TxDesc {
     WaitPredFn fn = nullptr;
     WaitArgs args;
     bool timed = false;
-    std::uint64_t spin_floor = 0;  // orec versions up to this are no change
   };
   PendingWait pending_wait;
 

@@ -1072,7 +1072,7 @@ class SpinPolicyTest : public ::testing::TestWithParam<Backend> {
 };
 
 // A writer commits after the waiter's logging read and before its Retry: the
-// spin sees the new orec version at once, and the waiter restarts without
+// spin sees the new value at once, and the waiter restarts without
 // indexing itself or sleeping. On sim-HTM the logging pass runs serially and
 // excludes every hardware commit, so the writer queues behind the serial
 // token and commits right after the waiter's rollback releases it; a few
@@ -1196,9 +1196,10 @@ TEST_P(SpinPolicyTest, LongParkDisarmsTheSpin) {
   waiter.join();
 }
 
-// Eager STM's rollback republishes each orec the attempt locked at a bumped
-// version. That is the waiter's own doing, not a change: were it taken for
-// one, a waiter that writes its waitset before Retry would restart forever.
+// Eager STM's rollback restores each word the attempt wrote to its logged
+// pre-transaction value, and republishes the word's orec at a bumped version.
+// That is the waiter's own doing, not a change: were it taken for one, a
+// waiter that writes its waitset before Retry would restart forever.
 TEST_P(SpinPolicyTest, OwnRollbackIsNotAChange) {
   TVar<std::uint64_t> x(0);
   std::binary_semaphore primed{0};
@@ -1323,6 +1324,99 @@ TEST_P(SpinPolicyTest, SpinMissRegistersWithoutReexecutingTheBody) {
   });
 }
 
+// The spin compares values, not orec versions. A writer that keeps
+// rewriting the waited word with the value it already holds bumps its orec
+// but changes nothing, so the primed waiter's spin runs out and parks, and
+// only the later real change wakes it. The rewrites stop after 2 s at most,
+// so a spin that took them for changes fails the checks instead of hanging.
+TEST_P(SpinPolicyTest, SameValueCommitDoesNotEndTheSpin) {
+  TVar<std::uint64_t> x(0);
+  std::binary_semaphore primed{0};
+  std::binary_semaphore go{0};
+  std::thread waiter([&] {
+    EXPECT_TRUE(Prime());
+    primed.release();
+    go.acquire();
+    const std::uint64_t spins = Own(Counter::kSpinWakeups);
+    const std::uint64_t misses = Own(Counter::kSpinMisses);
+    const std::uint64_t sleeps = Own(Counter::kSleeps);
+    WaitForChange(rt_, x, 0);
+    EXPECT_EQ(Own(Counter::kSpinWakeups), spins);
+    EXPECT_EQ(Own(Counter::kSpinMisses), misses + 1);
+    EXPECT_EQ(Own(Counter::kSleeps), sleeps + 1);
+  });
+  primed.acquire();
+  const std::uint64_t sleeps = rt_.AggregateStats().Get(Counter::kSleeps);
+  go.release();
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::uint64_t rewrites = 0;
+  while (rt_.AggregateStats().Get(Counter::kSleeps) == sleeps &&
+         std::chrono::steady_clock::now() < give_up) {
+    Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{0}); });
+    ++rewrites;
+  }
+  EXPECT_GT(rewrites, 0u);
+  Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
+  waiter.join();
+}
+
+// A transaction that waited through Retry leaves retry logging on for the
+// thread's next transaction, whose Retry then deschedules without the
+// logging restart. A transaction that commits without waiting clears it.
+// Sim-HTM hardware attempts never log; their Retry switches to software mode
+// with logging on, which is no logging restart either.
+TEST_P(SpinPolicyTest, WaitCarriesRetryLoggingIntoTheNextTransaction) {
+  TVar<std::uint64_t> x(0);
+  const std::uint64_t sleeps = rt_.AggregateStats().Get(Counter::kSleeps);
+  std::thread waiter([&] {
+    TxDesc& d = rt_.sys().Desc();
+    WaitForChange(rt_, x, 0);
+    EXPECT_TRUE(d.retry_logging);
+    const std::uint64_t restarts = Own(Counter::kRetryRestarts);
+    int body_runs = 0;
+    bool first_attempt_logged = false;
+    Atomically(rt_.sys(), [&](Tx& tx) {
+      if (body_runs++ == 0) {
+        first_attempt_logged = d.retry_logging;
+      }
+      if (tx.Load(x) == 1) {
+        tx.Retry();
+      }
+    });
+    EXPECT_EQ(Own(Counter::kRetryRestarts), restarts);
+    EXPECT_EQ(first_attempt_logged, GetParam() != Backend::kSimHtm);
+    EXPECT_TRUE(d.retry_logging);
+    Atomically(rt_.sys(), [&](Tx& tx) { return tx.Load(x); });
+    EXPECT_FALSE(d.retry_logging);
+  });
+  AwaitCounter(rt_, Counter::kSleeps, sleeps + 1);
+  Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{1}); });
+  AwaitCounter(rt_, Counter::kSleeps, sleeps + 2);
+  Atomically(rt_.sys(), [&](Tx& tx) { tx.Store(x, std::uint64_t{2}); });
+  waiter.join();
+}
+
+// A thread that never waits never turns retry logging on: its reads append
+// nothing to the waitset, commit after commit.
+TEST_P(SpinPolicyTest, ThreadThatNeverWaitsNeverLogs) {
+  TVar<std::uint64_t> x(1);
+  TVar<std::uint64_t> y(0);
+  std::thread t([&] {
+    TxDesc& d = rt_.sys().Desc();
+    for (int i = 0; i < 3; ++i) {
+      Atomically(rt_.sys(), [&](Tx& tx) {
+        EXPECT_FALSE(d.retry_logging);
+        tx.Store(y, tx.Load(x) + tx.Load(y));
+        EXPECT_TRUE(d.waitset.Empty());
+      });
+      EXPECT_FALSE(d.retry_logging);
+      EXPECT_TRUE(d.waitset.Empty());
+    }
+  });
+  t.join();
+  EXPECT_EQ(Atomically(rt_.sys(), [&](Tx& tx) { return tx.Load(y); }), 3u);
+}
+
 // Capacity-1 ping-pong, 2 producers and 2 consumers: every item arrives
 // exactly once, whether its consumer caught it spinning or parked. On sim-HTM
 // a producer that waited commits its Put in serial mode, past every orec.
@@ -1375,11 +1469,12 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, SpinPolicyTest,
                            return "Unknown";
                          });
 
-// Sim-HTM serial-mode writers bypass orecs, so the spin cannot see their
-// commits: the wait has to complete through registration. The writer queues
-// behind the waiter's serial logging pass; its two-line write overflows the
-// one-line write capacity, so it commits serially while the waiter spins or
-// registers.
+// Sim-HTM serial-mode writers bump no orec, but the spin compares values, so
+// a serial writer's commit satisfies it. The writer queues behind the
+// waiter's serial logging pass; its two-line write overflows the one-line
+// write capacity, so it commits serially while the waiter spins. A round
+// whose writer is descheduled past the spin budget completes the wait
+// through registration instead; a few rounds absorb that.
 TEST(SimHtmCondSyncTest, SerialWriterCompletesSpinningWaitThroughRegistration) {
   TmConfig cfg = MatrixConfig(Backend::kSimHtm);
   cfg.htm_write_capacity_lines = 1;
@@ -1387,36 +1482,48 @@ TEST(SimHtmCondSyncTest, SerialWriterCompletesSpinningWaitThroughRegistration) {
   struct alignas(64) Line {
     TVar<std::uint64_t> v{0};
   };
-  Line tick, x, y;
-  std::binary_semaphore logged{0};
-  std::thread waiter([&] {
-    EXPECT_TRUE(PrimeSpin(rt, tick.v));
-    const std::uint64_t spins = OwnCount(rt, Counter::kSpinWakeups);
-    const std::uint64_t misses = OwnCount(rt, Counter::kSpinMisses);
-    const std::uint64_t indexed = OwnCount(rt, Counter::kIndexedDeschedules);
-    bool paused = false;
-    Atomically(rt.sys(), [&](Tx& tx) {
-      if (tx.Load(x.v) == 0) {
-        if (rt.sys().Desc().retry_logging && !paused) {
-          paused = true;
-          logged.release();
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  int spin_rounds = 0;
+  for (int r = 0; r < 20 && spin_rounds == 0; ++r) {
+    Line tick, x, y;
+    std::binary_semaphore logged{0};
+    bool completed = false;
+    std::thread waiter([&] {
+      EXPECT_TRUE(PrimeSpin(rt, tick.v));
+      const std::uint64_t spins = OwnCount(rt, Counter::kSpinWakeups);
+      const std::uint64_t misses = OwnCount(rt, Counter::kSpinMisses);
+      const std::uint64_t indexed = OwnCount(rt, Counter::kIndexedDeschedules);
+      bool paused = false;
+      Atomically(rt.sys(), [&](Tx& tx) {
+        if (tx.Load(x.v) == 0) {
+          if (rt.sys().Desc().retry_logging && !paused) {
+            paused = true;
+            logged.release();
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          }
+          tx.Retry();
         }
-        tx.Retry();
+      });
+      completed = true;
+      if (OwnCount(rt, Counter::kSpinWakeups) == spins + 1) {
+        ++spin_rounds;
+        EXPECT_EQ(OwnCount(rt, Counter::kSpinMisses), misses);
+        EXPECT_EQ(OwnCount(rt, Counter::kIndexedDeschedules), indexed);
+      } else {
+        EXPECT_EQ(OwnCount(rt, Counter::kSpinMisses), misses + 1);
+        EXPECT_EQ(OwnCount(rt, Counter::kIndexedDeschedules), indexed + 1);
       }
     });
-    EXPECT_EQ(OwnCount(rt, Counter::kSpinWakeups), spins);
-    EXPECT_EQ(OwnCount(rt, Counter::kSpinMisses), misses + 1);
-    EXPECT_EQ(OwnCount(rt, Counter::kIndexedDeschedules), indexed + 1);
-  });
-  logged.acquire();
-  const std::uint64_t serial = rt.AggregateStats().Get(Counter::kHtmFallbacks);
-  Atomically(rt.sys(), [&](Tx& tx) {
-    tx.Store(x.v, std::uint64_t{1});
-    tx.Store(y.v, std::uint64_t{1});
-  });
-  waiter.join();
-  EXPECT_GT(rt.AggregateStats().Get(Counter::kHtmFallbacks), serial);
+    logged.acquire();
+    const std::uint64_t serial = rt.AggregateStats().Get(Counter::kHtmFallbacks);
+    Atomically(rt.sys(), [&](Tx& tx) {
+      tx.Store(x.v, std::uint64_t{1});
+      tx.Store(y.v, std::uint64_t{1});
+    });
+    waiter.join();
+    EXPECT_TRUE(completed);
+    EXPECT_GT(rt.AggregateStats().Get(Counter::kHtmFallbacks), serial);
+  }
+  EXPECT_EQ(spin_rounds, 1);
 }
 
 }  // namespace
